@@ -29,7 +29,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from ..clients.record import AttemptResult, ClientRecord, RequestRecord
 from ..trace import TraceLevel, trace_from_lists, trace_to_lists
@@ -297,12 +297,24 @@ def _load_jsonl(path: Path, index: dict[tuple[str, str], dict]) -> int:
     return corrupt
 
 
-class _StoreIndex:
-    """The shared in-memory half of both store flavours: the
-    ``(fingerprint, fault key) -> serialized run`` map plus a
-    lazily-built secondary index by fault key for :meth:`find`."""
+def _entry_line(fingerprint: str, key: str, data: dict) -> str:
+    return json.dumps({"fp": fingerprint, "key": key, "run": data}) + "\n"
 
-    def __init__(self):
+
+class _StoreIndex:
+    """What both store flavours share: the ``(fingerprint, fault key)
+    -> serialized run`` map, a lazily-built secondary index by fault
+    key for :meth:`find`, and the file logic — loading, the append
+    path and the sorted atomic rewrite.
+
+    A subclass only says which file a ``(fingerprint, key)`` pair lives
+    in (:meth:`_file_for`), which files exist (:meth:`_files`) and what
+    must exist before the first append opens one (:meth:`_prepare`).
+    """
+
+    def __init__(self, path: Union[str, Path], durable: bool):
+        self.path = Path(path)
+        self.durable = durable
         self._index: dict[tuple[str, str], dict] = {}
         # fault key -> [fingerprint, ...]; built on the first find()
         # and kept current across put() so repeated lookups (the trace
@@ -310,6 +322,20 @@ class _StoreIndex:
         self._by_key: Optional[dict[str, list[str]]] = None
         # Interior corrupt lines seen while loading (see _load_jsonl).
         self.corrupt_lines = 0
+        self._handles: dict[Path, object] = {}
+
+    def _file_for(self, fingerprint: str, key: str) -> Path:
+        raise NotImplementedError
+
+    def _files(self) -> list[Path]:
+        raise NotImplementedError
+
+    def _prepare(self) -> None:
+        raise NotImplementedError
+
+    def _load(self) -> None:
+        for path in self._files():
+            self.corrupt_lines += _load_jsonl(path, self._index)
 
     # ------------------------------------------------------------------
     def _remember(self, fingerprint: str, key: str, data: dict) -> None:
@@ -325,6 +351,67 @@ class _StoreIndex:
                 by_key.setdefault(key, []).append(fingerprint)
             self._by_key = by_key
         return self._by_key
+
+    # ------------------------------------------------------------------
+    def put(self, fingerprint: str, fault, result) -> None:
+        """Checkpoint one completed run (flushed immediately; fsynced
+        too when the store is ``durable``)."""
+        key = fault if isinstance(fault, str) else fault_key_str(fault)
+        data = serialize_result(result)
+        self._remember(fingerprint, key, data)
+        target = self._file_for(fingerprint, key)
+        handle = self._handles.get(target)
+        if handle is None:
+            self._prepare()
+            handle = open(target, "a", encoding="utf-8")
+            self._handles[target] = handle
+        handle.write(_entry_line(fingerprint, key, data))
+        handle.flush()
+        if self.durable:
+            os.fsync(handle.fileno())
+
+    def _rewrite(self, target: Path,
+                 pairs: Iterable[tuple[str, str]]) -> None:
+        """Replace ``target`` atomically with the entries for ``pairs``,
+        in the given order (written to a ``.tmp`` sibling first)."""
+        replacement = target.with_name(target.name + ".tmp")
+        with open(replacement, "w", encoding="utf-8") as handle:
+            for fingerprint, key in pairs:
+                handle.write(_entry_line(
+                    fingerprint, key, self._index[(fingerprint, key)]))
+            handle.flush()
+            if self.durable:
+                os.fsync(handle.fileno())
+        os.replace(replacement, target)
+
+    def compact(self) -> None:
+        """Rewrite every store file deterministically: entries in sorted
+        ``(fingerprint, key)`` order, superseded and corrupt lines
+        dropped.  Two stores holding the same runs compact to the same
+        bytes whatever order the runs arrived in."""
+        self.close()
+        by_file: dict[Path, list[tuple[str, str]]] = {}
+        for fingerprint, key in sorted(self._index):
+            by_file.setdefault(self._file_for(fingerprint, key),
+                               []).append((fingerprint, key))
+        for target in sorted(set(self._files()) | set(by_file)):
+            self._rewrite(target, by_file.get(target, ()))
+        self.corrupt_lines = 0
+
+    def merge_to(self, path: Union[str, Path]) -> Path:
+        """Write every entry into one plain single-file store at
+        ``path`` — sorted ``(fingerprint, key)`` order, superseded
+        lines dropped, so the merge is byte-deterministic whatever
+        order the runs arrived in."""
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        self._rewrite(target, sorted(self._index))
+        return target
+
+    def close(self) -> None:
+        for handle in self._handles.values():
+            handle.close()
+        self._handles = {}
 
     # ------------------------------------------------------------------
     def get(self, fingerprint: str, fault) -> Optional[RunResult]:
@@ -386,12 +473,10 @@ class _StoreIndex:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def close(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
 
 class RunStore(_StoreIndex):
-    """Append-only JSONL store of completed runs, indexed in memory.
+    """Append-only JSONL store of completed runs, indexed in memory:
+    the one-segment case, where every entry lives in ``path``.
 
     One line per run::
 
@@ -403,38 +488,17 @@ class RunStore(_StoreIndex):
     """
 
     def __init__(self, path: Union[str, Path], durable: bool = False):
-        super().__init__()
-        self.path = Path(path)
-        self.durable = durable
-        self._handle = None
+        super().__init__(path, durable)
         self._load()
 
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        self.corrupt_lines = _load_jsonl(self.path, self._index)
+    def _file_for(self, fingerprint: str, key: str) -> Path:
+        return self.path
 
-    # ------------------------------------------------------------------
-    def put(self, fingerprint: str, fault, result) -> None:
-        """Checkpoint one completed run (flushed immediately; fsynced
-        too when the store is ``durable``)."""
-        key = fault if isinstance(fault, str) else fault_key_str(fault)
-        data = serialize_result(result)
-        self._remember(fingerprint, key, data)
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps({"fp": fingerprint, "key": key,
-                                       "run": data}) + "\n")
-        self._handle.flush()
-        if self.durable:
-            os.fsync(self._handle.fileno())
+    def _files(self) -> list[Path]:
+        return [self.path] if self.path.exists() else []
 
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+    def _prepare(self) -> None:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def __repr__(self) -> str:
         return f"<RunStore {self.path} entries={len(self._index)}>"
@@ -446,10 +510,6 @@ class RunStore(_StoreIndex):
 MANIFEST_NAME = "MANIFEST.json"
 SEGMENT_GLOB = "segment-*.jsonl"
 DEFAULT_SEGMENTS = 8
-
-
-def _segment_name(number: int) -> str:
-    return f"segment-{number:03d}.jsonl"
 
 
 class ShardedRunStore(_StoreIndex):
@@ -477,37 +537,30 @@ class ShardedRunStore(_StoreIndex):
     def __init__(self, path: Union[str, Path],
                  segments: int = DEFAULT_SEGMENTS,
                  durable: bool = False):
-        super().__init__()
+        super().__init__(path, durable)
         if segments < 1:
             raise ValueError(f"segments must be >= 1, got {segments}")
-        self.path = Path(path)
-        self.durable = durable
         self.segments = segments
-        self._handles: dict[int, object] = {}
+        self._manifest = self.path / MANIFEST_NAME
+        if self._manifest.exists():
+            with open(self._manifest, "r", encoding="utf-8") as handle:
+                self.segments = int(json.load(handle)["segments"])
+        self._segment_paths = [self.path / f"segment-{number:03d}.jsonl"
+                               for number in range(self.segments)]
         self._load()
 
-    # ------------------------------------------------------------------
-    @property
-    def _manifest_path(self) -> Path:
-        return self.path / MANIFEST_NAME
+    def _file_for(self, fingerprint: str, key: str) -> Path:
+        return self._segment_paths[self.segment_for(fingerprint, key)]
 
-    def _load(self) -> None:
-        if not self.path.is_dir():
-            return
-        manifest = self._manifest_path
-        if manifest.exists():
-            with open(manifest, "r", encoding="utf-8") as handle:
-                recorded = json.load(handle)
-            self.segments = int(recorded["segments"])
-        for segment in sorted(self.path.glob(SEGMENT_GLOB)):
-            self.corrupt_lines += _load_jsonl(segment, self._index)
+    def _files(self) -> list[Path]:
+        return sorted(self.path.glob(SEGMENT_GLOB))
 
-    def _ensure_manifest(self) -> None:
-        if self._manifest_path.exists():
+    def _prepare(self) -> None:
+        if self._manifest.exists():
             return
         self.path.mkdir(parents=True, exist_ok=True)
         payload = {"format": STORE_FORMAT, "segments": self.segments}
-        with open(self._manifest_path, "w", encoding="utf-8") as handle:
+        with open(self._manifest, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True)
             handle.write("\n")
 
@@ -516,79 +569,6 @@ class ShardedRunStore(_StoreIndex):
         the crc of the pair keeps placement identical across runs."""
         pair = f"{fingerprint}:{key}".encode("utf-8")
         return zlib.crc32(pair) % self.segments
-
-    # ------------------------------------------------------------------
-    def put(self, fingerprint: str, fault, result) -> None:
-        """Checkpoint one completed run into its segment (flushed
-        immediately; fsynced too when the store is ``durable``)."""
-        key = fault if isinstance(fault, str) else fault_key_str(fault)
-        data = serialize_result(result)
-        self._remember(fingerprint, key, data)
-        number = self.segment_for(fingerprint, key)
-        handle = self._handles.get(number)
-        if handle is None:
-            self._ensure_manifest()
-            handle = open(self.path / _segment_name(number), "a",
-                          encoding="utf-8")
-            self._handles[number] = handle
-        handle.write(json.dumps({"fp": fingerprint, "key": key,
-                                 "run": data}) + "\n")
-        handle.flush()
-        if self.durable:
-            os.fsync(handle.fileno())
-
-    # ------------------------------------------------------------------
-    def compact(self) -> None:
-        """Rewrite every segment deterministically: entries in sorted
-        ``(fingerprint, key)`` order, superseded and corrupt lines
-        dropped.  Two stores holding the same runs compact to the same
-        bytes whatever order the runs arrived in."""
-        self.close()
-        if not self.path.is_dir():
-            return
-        by_segment: dict[int, list[tuple[str, str]]] = {}
-        for fingerprint, key in sorted(self._index):
-            number = self.segment_for(fingerprint, key)
-            by_segment.setdefault(number, []).append((fingerprint, key))
-        existing = {int(segment.stem.split("-", 1)[1])
-                    for segment in self.path.glob(SEGMENT_GLOB)}
-        for number in sorted(existing | set(by_segment)):
-            segment = self.path / _segment_name(number)
-            replacement = segment.with_name(segment.name + ".tmp")
-            with open(replacement, "w", encoding="utf-8") as handle:
-                for fingerprint, key in by_segment.get(number, ()):
-                    handle.write(json.dumps(
-                        {"fp": fingerprint, "key": key,
-                         "run": self._index[(fingerprint, key)]}) + "\n")
-                handle.flush()
-                if self.durable:
-                    os.fsync(handle.fileno())
-            os.replace(replacement, segment)
-        self.corrupt_lines = 0
-
-    def merge_to(self, path: Union[str, Path]) -> Path:
-        """Merge every segment into one plain single-file store at
-        ``path`` — sorted ``(fingerprint, key)`` order, superseded
-        lines dropped, so the merge of a sharded store is
-        byte-deterministic whatever order the runs arrived in."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        replacement = target.with_name(target.name + ".tmp")
-        with open(replacement, "w", encoding="utf-8") as handle:
-            for fingerprint, key in sorted(self._index):
-                handle.write(json.dumps(
-                    {"fp": fingerprint, "key": key,
-                     "run": self._index[(fingerprint, key)]}) + "\n")
-            handle.flush()
-            if self.durable:
-                os.fsync(handle.fileno())
-        os.replace(replacement, target)
-        return target
-
-    def close(self) -> None:
-        for handle in self._handles.values():
-            handle.close()
-        self._handles = {}
 
     def __repr__(self) -> str:
         return (f"<ShardedRunStore {self.path} "

@@ -25,12 +25,13 @@ all-ones size means four gigabytes.
 The handler is a single generator frame with everything the four steps
 need — the implementation, its blocking-ness, the hook list, the
 invocation counters, the tracer, the per-parameter pointer flags —
-pre-bound at registration instead of re-resolved per call.  This
-flattens what used to be the proxy → ``_invoke`` → interception
-dispatch → implementation chain into one loop body; the hook list and
-return-hook list are bound *by object identity*, so hooks added or
-removed after registration (``InterceptionLayer.add_hook`` mutates the
-list in place) are still honoured on the next call.
+pre-bound at registration instead of re-resolved per call.  It is the
+only dispatch path for Win32 programs: the four steps run in one loop
+body rather than through :meth:`InterceptionLayer.dispatch` (which
+the POSIX context still uses).  The hook list and return-hook list are
+bound *by object identity*, so hooks added or removed after
+registration (``InterceptionLayer.add_hook`` mutates the list in
+place) are still honoured on the next call.
 """
 
 from __future__ import annotations
@@ -249,46 +250,3 @@ class Win32Context:
         """Resolve a raw pointer (e.g. a HeapAlloc result) back to its
         buffer — the program-side equivalent of dereferencing it."""
         return self.machine.address_space.resolve(address)
-
-    # ------------------------------------------------------------------
-    # Call dispatch (reference form)
-    # ------------------------------------------------------------------
-    def _invoke(self, sig: FunctionSig, sem_args: tuple[Any, ...]):
-        """Unspecialised dispatch, kept as the readable reference for
-        what a compiled handler does; ``ctx.k32`` never routes through
-        it, but tests exercise it against the flattened handlers."""
-        if len(sem_args) != len(sig.params):
-            raise TypeError(
-                f"{sig.name} takes {len(sig.params)} arguments,"
-                f" got {len(sem_args)}"
-            )
-        machine = self.machine
-        space = machine.address_space
-        raw_args = tuple(map(space.encode, sem_args))
-        raw_args, override = machine.interception.dispatch(
-            self.process, sig, raw_args)
-        interception = machine.interception
-        if override is not None:
-            if override.delay > 0.0:
-                yield Sleep(override.delay)
-            if override.skip:
-                self.process.last_error = override.last_error
-                result = override.result
-                if not interception.return_hooks:
-                    tracer = machine.tracer
-                    if tracer is None or not tracer.calls_enabled:
-                        return result
-                return interception.dispatch_return(self.process, sig, result)
-        decoded = list(map(space.decode, raw_args, sig.pointer_flags))
-        frame = runtime.Frame(machine, self.process, sig, decoded)
-        impl, blocking = _resolve_impl(sig)
-        if blocking:
-            result = yield from impl(frame)
-        else:
-            result = impl(frame)
-        interception = machine.interception
-        if not interception.return_hooks:
-            tracer = machine.tracer
-            if tracer is None or not tracer.calls_enabled:
-                return result  # nothing observes returns on this run
-        return interception.dispatch_return(self.process, sig, result)

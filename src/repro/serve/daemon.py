@@ -61,6 +61,10 @@ def _validate_registered(spec) -> None:
 class ServeHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; without TCP_NODELAY
+    # the body of every kept-alive response waits on the client's
+    # delayed ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing

@@ -1,7 +1,6 @@
 """Lint visibility of the flattened dispatch chain.
 
-The engine refactor moved per-syscall dispatch out of
-``Win32Context._invoke`` into per-signature *pre-bound handler
+Per-syscall dispatch runs in per-signature *pre-bound handler
 closures* (``repro.nt.context.build_call_handler``): a generator
 function nested inside a plain function, compiled once per (process,
 export).  These tests pin the properties that keep that shape inside
@@ -98,9 +97,6 @@ class TestProductionHandlerStaysVisible:
         info = index.functions.get("build_call_handler.call")
         assert info is not None, "pre-bound handler closure not indexed"
         assert info.is_generator
-        # The reference dispatch form must stay visible too: it is the
-        # readable spec the handlers are tested against.
-        assert "Win32Context._invoke" in index.functions
 
     def test_handler_suspension_is_modelled(self):
         with open(CONTEXT_PATH, encoding="utf-8") as handle:

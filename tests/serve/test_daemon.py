@@ -7,6 +7,7 @@ sharded store directory must finish with results byte-identical to an
 uninterrupted serial single-file run.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -73,6 +74,24 @@ def test_healthz(server):
     health = json.loads(body)
     assert health["ok"] is True
     assert health["jobs"] == 0
+
+
+def test_kept_alive_connection_answers_without_stalling(server):
+    # Headers and body leave in separate writes; with Nagle's algorithm
+    # on, the body waits for the client's delayed ACK (~40 ms a time).
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        started = time.monotonic()
+        for _ in range(20):
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+        elapsed = time.monotonic() - started
+    finally:
+        connection.close()
+    assert elapsed < 0.4, f"20 kept-alive requests took {elapsed:.3f} s"
 
 
 def test_campaign_over_http_executes_and_caches(server):

@@ -2,63 +2,86 @@
 
 Figure 4 reports average response times "with corresponding 95%
 confidence intervals (shown as error bars)"; these helpers compute the
-same quantities with the Student-t critical value (falling back to the
-normal approximation for large samples).
+same quantities with the exact Student-t critical value.  The quantile
+is computed here from the standard library alone, by inverting the
+regularised incomplete beta function, so importing the package pulls
+in no numerical stack.
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from typing import Optional, Sequence
 
-try:  # scipy gives exact t quantiles; the fallback table covers its absence
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _scipy_stats = None
-
-# Two-sided 95 % t critical values for small degrees of freedom.
-_T_TABLE = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
-    7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 12: 2.179, 15: 2.131,
-    20: 2.086, 25: 2.060, 30: 2.042, 40: 2.021, 60: 2.000, 120: 1.980,
-}
-_T_DOFS = tuple(sorted(_T_TABLE))
-_T_NORMAL = 1.96  # the dof -> infinity asymptote
+_Z_975 = 1.959963984540054  # the standard normal 0.975 quantile
+_TINY = 1e-300
 
 
-def _t_fallback_95(dof: int) -> float:
-    """Table-based t critical value used when scipy is unavailable.
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of the regularised incomplete beta
+    function I_x(a, b), by the modified Lentz method.  It converges
+    fastest for x < (a + 1) / (a + b + 2), which near the 95 % t
+    quantile (t^2 above about 3) always holds."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    fraction = d
+    for m in range(1, 100_000):
+        m2 = 2 * m
+        for numerator in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+                          -(a + m) * (a + b + m) * x
+                          / ((a + m2) * (a + 1.0 + m2))):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + numerator / c
+            if abs(c) < _TINY:
+                c = _TINY
+            delta = c * d
+            fraction *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return fraction
+    raise ArithmeticError(f"incomplete beta did not converge at x={x!r}")
 
-    Between table entries the quantile is interpolated in 1/dof, which
-    the true t quantile is nearly linear in; above the last table entry
-    the same interpolation runs toward the normal asymptote (1/dof = 0).
-    Never rounds dof *up* to a larger table entry — that borrows the
-    smaller critical value of a bigger sample and narrows the interval.
-    """
-    value = _T_TABLE.get(dof)
-    if value is not None:
-        return value
-    last = _T_DOFS[-1]
-    if dof > last:
-        low_dof, low_value = last, _T_TABLE[last]
-        high_inv, high_value = 0.0, _T_NORMAL
-    else:
-        index = bisect.bisect_left(_T_DOFS, dof)
-        low_dof, high_dof = _T_DOFS[index - 1], _T_DOFS[index]
-        low_value, high_value = _T_TABLE[low_dof], _T_TABLE[high_dof]
-        high_inv = 1.0 / high_dof
-    frac = (1.0 / low_dof - 1.0 / dof) / (1.0 / low_dof - high_inv)
-    return low_value + (high_value - low_value) * frac
 
-
+@functools.lru_cache(maxsize=None)
 def t_critical_95(dof: int) -> float:
-    """Two-sided 95 % Student-t critical value."""
+    """Two-sided 95 % Student-t critical value: the t with upper tail
+    P(T > t) = 0.025.
+
+    The tail is 0.5 * I_x(dof/2, 1/2) with x = dof / (dof + t^2);
+    Newton's method on t, started from the Cornish-Fisher expansion
+    around the normal quantile and kept inside a shrinking bracket,
+    converges to within a few ulps.
+    """
     if dof <= 0:
         raise ValueError("need at least two samples for an interval")
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.975, dof))
-    return _t_fallback_95(dof)
+    a = dof / 2.0
+    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    log_density_peak = -log_beta - 0.5 * math.log(dof)
+    z = _Z_975
+    t = (z + (z ** 3 + z) / (4 * dof)
+         + (5 * z ** 5 + 16 * z ** 3 + 3 * z) / (96 * dof ** 2))
+    low, high = 0.0, math.inf
+    for _ in range(200):
+        t2 = t * t
+        share = t2 / (dof + t2)
+        tail = 0.5 * math.exp(a * math.log1p(-share)
+                              + 0.5 * math.log(share) - log_beta) \
+            * _beta_fraction(a, 0.5, dof / (dof + t2)) / a
+        if tail > 0.025:
+            low = t
+        else:
+            high = t
+        density = math.exp(log_density_peak
+                           - (dof + 1) / 2.0 * math.log1p(t2 / dof))
+        step = t + (tail - 0.025) / density
+        if not low < step < high:
+            step = 2.0 * t if high == math.inf else (low + high) / 2.0
+        if abs(step - t) <= 1e-15 * t:
+            return step
+        t = step
+    return t
 
 
 def mean(values: Sequence[float]) -> float:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
+import threading
+import time
 from typing import Callable, Optional, Sequence
 
 from .collector import RunResult, infer_result
@@ -28,6 +30,27 @@ from .store import config_fingerprint
 from .workload import MiddlewareKind, WorkloadSpec, get_workload
 
 OnResult = Callable[[RunTask, RunResult], None]
+
+
+# How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.25
+
+
+def exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit as soon as the parent is gone.
+
+    A worker idling on its call queue never learns that a SIGKILLed
+    parent (a ``repro serve`` daemon, a ``repro run --jobs`` campaign)
+    died; it would wait forever, reparented to init.  A daemon thread
+    polls the parent pid instead and ends the worker once it changes.
+    """
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
 
 
 class ExecutionBackend:
@@ -102,7 +125,8 @@ class ProcessPoolBackend(ExecutionBackend):
             if "fork" in multiprocessing.get_all_start_methods():
                 context = multiprocessing.get_context("fork")
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=context)
+                max_workers=self.jobs, mp_context=context,
+                initializer=exit_with_parent, initargs=(os.getpid(),))
         return self._pool
 
     def _chunks(self, tasks: Sequence[RunTask]) -> list[list[RunTask]]:

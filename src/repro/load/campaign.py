@@ -14,7 +14,7 @@ import multiprocessing
 import os
 from typing import Optional, Sequence
 
-from ..core.exec import SafeProgress
+from ..core.exec import SafeProgress, exit_with_parent
 from ..core.runner import RunConfig
 from .result import LoadRunResult
 from .runner import execute_load_run
@@ -128,7 +128,9 @@ def _run_pool(pending, config: RunConfig, jobs: int, record) -> None:
     chunks = [pending[start:start + chunk_size]
               for start in range(0, len(pending), chunk_size)]
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context) as pool:
+            max_workers=jobs, mp_context=context,
+            initializer=exit_with_parent,
+            initargs=(os.getpid(),)) as pool:
         futures = [
             pool.submit(_run_load_chunk, [task for _, task in chunk], config)
             for chunk in chunks

@@ -10,8 +10,9 @@ calling thread::
                                             OPEN_EXISTING, 0, None)
     status = yield from ctx.k32.WaitForSingleObject(child, 5000)
 
-Every call runs a flattened per-signature *handler* built by
-:func:`build_call_handler` the first time a process touches an export:
+Every call runs a flattened per-signature *handler*, compiled by
+:func:`build_call_handler` the first time any process touches an
+export and bound to the calling process's context:
 
 1. semantic arguments are lowered to raw 32-bit words,
 2. the interception layer lets hooks (the fault injector) rewrite them,
@@ -22,20 +23,28 @@ Step 2/3 is exactly where a corrupted word changes meaning: a zeroed
 string pointer decodes as NULL, a flipped handle stops resolving, an
 all-ones size means four gigabytes.
 
-The handler is a single generator frame with everything the four steps
-need — the implementation, its blocking-ness, the hook list, the
-invocation counters, the tracer, the per-parameter pointer flags —
-pre-bound at registration instead of re-resolved per call.  It is the
-only dispatch path for Win32 programs: the four steps run in one loop
-body rather than through :meth:`InterceptionLayer.dispatch` (which
-the POSIX context still uses).  The hook list and return-hook list are
-bound *by object identity*, so hooks added or removed after
-registration (``InterceptionLayer.add_hook`` mutates the list in
-place) are still honoured on the next call.
+The handler is a single generator frame.  What is fixed per signature
+— the implementation, its blocking-ness, the arity, the per-parameter
+pointer flags — is captured once, when the handler is compiled, and
+the handler is cached on the :class:`FunctionSig` and shared by every
+process of every machine.  What belongs to one process — the hook
+lists, the invocation counters, the called set, the encoder/decoder,
+the tracer — is read through ``ctx`` at call time, from slots the
+context binds on its first resolution.  It is the only dispatch path
+for Win32 programs: the four steps run in one loop body rather than
+through :meth:`InterceptionLayer.dispatch` (which the POSIX context
+still uses).  The hook list and return-hook list are bound *by object
+identity*, so hooks added or removed later (``add_hook`` mutates the
+list in place) are still honoured on the next call.
+
+At machine teardown :meth:`Win32Context.release` drops every reference
+the context holds, which breaks the cycles through its proxy's
+memoised (context-bound) handlers.
 """
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import TYPE_CHECKING, Any
 
 from ..sim import Sleep
@@ -53,64 +62,38 @@ class UnknownExportError(AttributeError):
     """A program referenced a function kernel32 does not export."""
 
 
-def _resolve_impl(sig: FunctionSig):
-    """The (implementation, is_blocking) pair for one export, cached on
-    the signature — the registry is import-time-complete by the time
-    any process makes its first call."""
-    try:
-        return sig._dispatch
-    except AttributeError:
-        impl = runtime.lookup(sig.name)
-        blocking = runtime.is_blocking(sig.name)
-        if impl is None:
-            impl = runtime.generic_implementation
-            blocking = False
-        sig._dispatch = (impl, blocking)
-        return sig._dispatch
-
-
 def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
-    """Compile the flattened call handler for one (process, export).
+    """Resolve one export for one process: the signature's handler,
+    bound to ``ctx``.
 
-    Everything resolvable at registration time is captured in the
-    closure: per-call work is the encode loop, the invocation-counter
-    bump, the (usually empty) hook scan, the decode loop, and the
-    implementation itself.  Mutable collaborators — the hook lists, the
-    per-pid invocation dict, the per-role called set, the machine-wide
-    trace — are captured by identity, so registration-time binding
-    observes later mutation.
+    The handler itself is compiled the first time any process resolves
+    ``sig`` and cached on the signature; it captures only what is fixed
+    per signature (name, arity, pointer flags, the implementation and
+    its blocking-ness).  Everything per-process or per-machine — the
+    hook lists, the per-pid invocation dict, the per-role called set,
+    the encoder/decoder, the tracer — is read through ``ctx`` at call
+    time, from slots :meth:`Win32Context._bind` fills on the process's
+    first resolution.  The hook lists are bound by identity, so hooks
+    added or removed later are still honoured on the next call.
     """
-    machine = ctx.machine
-    process = ctx.process
-    interception = machine.interception
-    space = machine.address_space
-    encode = space.encode
-    decode = space.decode
-    int_args = space._int_args
-    engine = machine.engine
-    tracer = machine.tracer  # fixed at Machine construction
+    if ctx._per_pid is None:
+        ctx._bind()
+    try:
+        return MethodType(sig._handler, ctx)
+    except AttributeError:
+        pass
     name = sig.name
     nparams = len(sig.params)
     pointer_flags = sig.pointer_flags
     has_pointers = any(pointer_flags)
-    impl, blocking = _resolve_impl(sig)
-    hooks = interception.hooks
-    return_hooks = interception.return_hooks
-    per_pid = interception._invocations.get(process.pid)
-    if per_pid is None:
-        per_pid = interception._invocations[process.pid] = {}
-    called = interception._called_by_role.get(process.role)
-    if called is None:
-        called = interception._called_by_role[process.role] = set()
-    called_add = called.add
-    call_counts = interception._call_counts
-    keep_full_trace = interception.keep_full_trace
-    trace_append = interception.trace.append
-    pid = process.pid
-    role = process.role
+    impl = runtime.lookup(name)
+    blocking = runtime.is_blocking(name)
+    if impl is None:
+        impl = runtime.generic_implementation
+        blocking = False
     Frame = runtime.Frame
 
-    def call(*sem_args: Any):
+    def call(ctx: "Win32Context", *sem_args: Any):
         if len(sem_args) != nparams:
             raise TypeError(
                 f"{name} takes {nparams} arguments, got {len(sem_args)}"
@@ -126,15 +109,18 @@ def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
             elif value is None:
                 raw_list.append(0)
             else:
-                raw_list.append(encode(value))
+                raw_list.append(ctx._encode(value))
         raw_args = tuple(raw_list)
         # --- 2. interception: hooks may rewrite the raw words, or ----
         # preempt the call outright (a CallOverride: I/O and resource
         # faults fail or delay the call without touching its arguments)
+        process = ctx.process
+        per_pid = ctx._per_pid
         invocation = per_pid.get(name, 0) + 1
         per_pid[name] = invocation
         injected = False
         override = None
+        hooks = ctx._hooks
         if hooks:
             for hook in hooks:
                 replacement = hook.on_call(process, sig, invocation, raw_args)
@@ -144,15 +130,19 @@ def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
                     else:
                         raw_args = replacement
                     injected = True
-        called_add(name)
+        ctx._called_add(name)
+        call_counts = ctx._call_counts
         call_counts[name] = call_counts.get(name, 0) + 1
+        tracer = ctx._tracer
         if tracer is not None and tracer.calls_enabled:
-            tracer.emit(engine.now, "call", "enter",
-                        pid=pid, role=role, func=name,
+            tracer.emit(ctx._engine.now, "call", "enter",
+                        pid=process.pid, role=process.role, func=name,
                         invocation=invocation, injected=injected)
-        if keep_full_trace:
+        trace_append = ctx._trace_append
+        if trace_append is not None:
             trace_append(CallRecord(
-                engine.now, pid, role, name, invocation, injected,
+                ctx._engine.now, process.pid, process.role, name,
+                invocation, injected,
             ))
         if override is not None:
             if override.delay > 0.0:
@@ -160,13 +150,16 @@ def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
             if override.skip:
                 process.last_error = override.last_error
                 result = override.result
-                if not return_hooks:
+                if not ctx._return_hooks:
                     if tracer is None or not tracer.calls_enabled:
                         return result
-                return interception.dispatch_return(process, sig, result)
+                return ctx._interception.dispatch_return(process, sig,
+                                                         result)
         # --- 3. decode: raw words back against the declared types ----
+        int_args = ctx._int_args
         decoded = []
         if has_pointers:
+            decode = ctx._decode
             for raw, pointer_like in zip(raw_args, pointer_flags):
                 if pointer_like:
                     decoded.append(decode(raw, True))
@@ -184,28 +177,29 @@ def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
                     arg = int_args[raw] = DecodedArg(raw, ArgKind.INT)
                 decoded.append(arg)
         # --- 4. run the implementation on the decoded frame ----------
-        frame = Frame(machine, process, sig, decoded)
+        frame = Frame(ctx.machine, process, sig, decoded)
         if blocking:
             result = yield from impl(frame)
         else:
             result = impl(frame)
-        if not return_hooks:
+        if not ctx._return_hooks:
             if tracer is None or not tracer.calls_enabled:
                 return result  # nothing observes returns on this run
-        return interception.dispatch_return(process, sig, result)
+        return ctx._interception.dispatch_return(process, sig, result)
 
     call.__name__ = name
     call.__qualname__ = f"k32.{name}"
-    return call
+    sig._handler = call
+    return MethodType(call, ctx)
 
 
 class _K32Proxy:
     """Attribute-style access to the export table: ``ctx.k32.ReadFile``.
 
-    Resolution compiles the flattened handler (see
-    :func:`build_call_handler`) and memoises it into the instance dict,
-    so each export pays the ``__getattr__`` + compilation cost once per
-    process rather than once per call.
+    Resolution binds the signature's handler (see
+    :func:`build_call_handler`) to the context and memoises the bound
+    method into the instance dict, so each export pays the
+    ``__getattr__`` once per process rather than once per call.
     """
 
     def __init__(self, ctx: "Win32Context"):
@@ -223,10 +217,50 @@ class _K32Proxy:
 class Win32Context:
     """Per-process gateway to the simulated NT machine."""
 
+    # The underscored slots are the per-process dispatch state the
+    # shared handlers read at call time; None until the process
+    # resolves its first export (see _bind).
+    __slots__ = ("machine", "process", "k32", "_interception", "_hooks",
+                 "_return_hooks", "_per_pid", "_called_add", "_call_counts",
+                 "_trace_append", "_encode", "_decode", "_int_args",
+                 "_engine", "_tracer")
+
     def __init__(self, machine: "Machine", process: "NTProcess"):
         self.machine = machine
         self.process = process
         self.k32 = _K32Proxy(self)
+        self._per_pid = None
+
+    def _bind(self) -> None:
+        """Bind the dispatch state on the process's first resolution:
+        the per-pid invocation dict and per-role called set come into
+        being here, exactly when the process first touches kernel32."""
+        machine = self.machine
+        process = self.process
+        interception = machine.interception
+        space = machine.address_space
+        self._interception = interception
+        self._hooks = interception.hooks
+        self._return_hooks = interception.return_hooks
+        self._per_pid = interception._invocations.setdefault(process.pid, {})
+        self._called_add = interception._called_by_role.setdefault(
+            process.role, set()).add
+        self._call_counts = interception._call_counts
+        self._trace_append = (interception.trace.append
+                              if interception.keep_full_trace else None)
+        self._encode = space.encode
+        self._decode = space.decode
+        self._int_args = space._int_args
+        self._engine = machine.engine
+        self._tracer = machine.tracer  # fixed at Machine construction
+
+    def release(self) -> None:
+        """Machine teardown: drop every reference this context holds.
+        Its proxy's memoised handlers are bound to it, and objects the
+        program handed to kernel32 (interned by the address space) may
+        hold it, so either link would otherwise close a cycle."""
+        for name in self.__slots__:
+            setattr(self, name, None)
 
     # ------------------------------------------------------------------
     # Conveniences for program code (not part of the Win32 surface)

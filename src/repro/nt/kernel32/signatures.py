@@ -105,11 +105,12 @@ class ParamSpec:
 class FunctionSig:
     """A kernel32 export: name plus ordered parameter specs."""
 
-    # ``_dispatch`` is a lazily-filled ``(impl, is_blocking)`` pair the
-    # call layer caches after the implementation registry is complete;
-    # the slot is deliberately left unset here so first use can detect
-    # it with AttributeError.
-    __slots__ = ("name", "params", "family", "pointer_flags", "_dispatch")
+    # ``_handler`` is the lazily-compiled call handler the dispatch
+    # layer (``repro.nt.context.build_call_handler``) caches after the
+    # implementation registry is complete; it is shared by every
+    # process.  The slot is deliberately left unset here so first use
+    # can detect it with AttributeError.
+    __slots__ = ("name", "params", "family", "pointer_flags", "_handler")
 
     def __init__(self, name: str, params: tuple[ParamSpec, ...], family: str):
         self.name = name

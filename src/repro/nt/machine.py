@@ -108,8 +108,27 @@ class Machine:
         return self.engine.run(until=until)
 
     def shutdown(self) -> None:
-        """Kill all processes (end-of-run teardown)."""
+        """End-of-run teardown: kill all processes, then break the
+        machine's reference cycles, so a finished run is freed by
+        reference counting as soon as its caller drops it.
+
+        Process state (``alive``, exit codes), the transport's
+        ``client_leaks``, the event log and the interception counters
+        stay readable; the machine cannot run again.
+        """
         self.processes.terminate_all()
+        self.engine.clear()
+        for process in self.processes.processes:
+            process.release()
+        # Hooks (the sustained-fault injectors) may point back here.
+        self.interception.hooks.clear()
+        self.interception.return_hooks.clear()
+        self._exit_listeners.clear()
+        # Every subsystem drops its back-pointer, including any a port
+        # attaches (the Linux init supervisor).
+        for subsystem in list(vars(self).values()):
+            if getattr(subsystem, "machine", None) is self:
+                subsystem.machine = None
 
     def check_connection_hygiene(self) -> None:
         """Raise if any client finished a run while leaking connections.

@@ -97,6 +97,7 @@ class NTProcess:
             parent.environment if parent is not None else machine.base_environment
         )
         self.kernel_object = ProcessObject(self)
+        self.context = None  # the main thread's context, once started
         self.suspended = False
         # Lazily-created default heap (see impl_memory.GetProcessHeap).
         self._default_heap = None
@@ -124,7 +125,7 @@ class NTProcess:
         # Programs may declare an alternative context class (the Linux
         # port's programs use PosixContext); the default is Win32.
         context_class = getattr(self.program, "context_class", Win32Context)
-        ctx = context_class(self.machine, self)
+        ctx = self.context = context_class(self.machine, self)
         self._spawn_thread(self.program.main(ctx), "main", is_main=True)
 
     def spawn_thread(self, generator) -> SimProcess:
@@ -208,6 +209,18 @@ class NTProcess:
         # the SCM and must not see a stale RUNNING state.
         self.exit_event.succeed(exit_code)
         self.machine.on_process_exit(self)
+
+    def release(self) -> None:
+        """Machine teardown: break this process's reference cycles
+        (context, threads, kernel object, machine and parent
+        back-pointers)."""
+        if self.context is not None:
+            self.context.release()
+            self.context = None
+        for thread in self.threads:
+            thread.release()
+        self.kernel_object.process = None
+        self.machine = self.parent = None
 
 
 class ProcessManager:

@@ -52,6 +52,11 @@ class PosixContext:
         self.process = process
         self.libc = _LibcProxy(self)
 
+    def release(self) -> None:
+        """Machine teardown: drop every reference this context holds
+        (see :meth:`repro.nt.context.Win32Context.release`)."""
+        self.machine = self.process = self.libc = None
+
     @property
     def now(self) -> float:
         return self.machine.engine.now

@@ -38,6 +38,8 @@ resubmitted specs re-execute only what was never checkpointed.
 from __future__ import annotations
 
 import json
+import signal
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -243,12 +245,24 @@ def serve_forever(store_path: str, host: str = "127.0.0.1",
           f"durable={'on' if durable else 'off'}", file=out, flush=True)
     if ready is not None:
         ready(server)
+    # SIGTERM (a plain ``kill``, a service manager stopping the daemon)
+    # takes the same clean path as Ctrl-C.  Handlers can only be
+    # installed from the main thread; embedded servers keep the host's.
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("repro serve: shutting down", file=out, flush=True)
     finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
         server.server_close()
         server.queue.close()
         store.close()
     return 0
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt

@@ -359,6 +359,18 @@ class Engine:
         """Stop :meth:`run` after the currently-executing callback."""
         self._stopped = True
 
+    def clear(self) -> None:
+        """Cancel every pending timer and empty the queue (machine
+        teardown).  The queue is the engine's only link to its timers,
+        whose callbacks point back into the simulated world."""
+        for _time, _seq, timer in self._queue:
+            timer.cancelled = True
+            timer.callback = None
+            timer.args = ()
+            timer.engine = None
+        self._queue.clear()
+        self._tombstones = 0
+
     @property
     def pending_count(self) -> int:
         """Number of live (non-cancelled) timers in the queue."""

@@ -144,7 +144,12 @@ class SimProcess:
         self.state = ProcState.KILLED
         try:
             self.generator.throw(Killed(reason))
-        except (Killed, StopIteration):
+        except Killed as killed:
+            # A frame that caught and re-threw the kill (a delegating
+            # wrapper) still holds it, and its traceback holds that
+            # frame: drop the traceback so the pair is not a cycle.
+            killed.__traceback__ = None
+        except StopIteration:
             pass
         except BaseException as exc:  # generator raised something else while dying
             self.error = exc
@@ -348,7 +353,17 @@ class SimProcess:
     def _end(self, outcome: Optional[BaseException]) -> None:
         self.ended_at = self.engine.now
         self._clear_pending()
+        # An ended process is never resumed again (``_resume`` checks
+        # the state first), so the self-referencing pre-bound resume
+        # can go: dropping it lets the process be freed by reference
+        # counting.
+        self._resume_bound = None
         self.done.succeed(self)
+
+    def release(self) -> None:
+        """Teardown of an ended process: drop the ``done`` latch, which
+        holds the process itself as its value."""
+        self.done = None
 
     def __repr__(self) -> str:
         return f"<SimProcess {self.name} {self.state.value}>"

@@ -238,3 +238,65 @@ def test_killed_daemon_restarts_and_resumes(tmp_path):
     with ShardedRunStore(store_path) as store:
         merged = store.merge_to(tmp_path / "merged.jsonl")
     assert merged.read_text() == "".join(reference_lines)
+
+
+# ----------------------------------------------------------------------
+# Signals and process hygiene (real subprocess)
+# ----------------------------------------------------------------------
+def test_sigterm_shuts_down_cleanly(tmp_path):
+    """A plain ``kill`` (SIGTERM) takes the Ctrl-C path: the shutdown
+    line is printed, the ``finally`` cleanup runs and the exit is 0."""
+    process, url = _spawn_daemon(tmp_path / "store.d")
+    try:
+        _request(url, "GET", "/healthz")
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+    assert process.returncode == 0, output
+    assert "shutting down" in output
+
+
+def _children_of(pid):
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while listing
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _running(pid):
+    """Alive and not a zombie (an exited orphan may wait for a reaper)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_killed_daemon_leaves_no_pool_workers(tmp_path):
+    """kill -9 of the daemon: its pool workers notice their parent is
+    gone and exit instead of idling forever, reparented to init."""
+    process, url = _spawn_daemon(tmp_path / "store.d")
+    try:
+        _request(url, "POST", "/campaigns", CAMPAIGN)
+        _wait_for_state(url, "job-1")
+        workers = _children_of(process.pid)
+        assert workers, "the campaign ran without a worker pool"
+    finally:
+        process.kill()
+        process.wait(timeout=30)
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline and any(map(_running, workers)):
+        time.sleep(0.05)
+    assert not [pid for pid in workers if _running(pid)]

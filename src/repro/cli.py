@@ -624,6 +624,7 @@ def _parse_load_fault(line: str, out):
 
 def cmd_load(args, out) -> int:
     from .analysis.loadscale import aggregate_load_runs, render_load_scale
+    from .core.exec import ProcessPoolBackend
     from .load import LoadSpec, plan_load_tasks, run_load_tasks
 
     workload_name = _resolve_load_workload(args.workload, out)
@@ -663,16 +664,20 @@ def cmd_load(args, out) -> int:
 
     config = RunConfig(base_seed=args.seed,
                        watchd_version=watchd_version)
+    jobs = args.jobs if args.jobs is not None else 1
+    # Not `jobs > 1`: the pool's own check rejects jobs < 1.
+    backend = ProcessPoolBackend(jobs) if jobs != 1 else None
     store, error = _open_store(args.store, args.resume, out)
     if error is not None:
         return error
 
-    jobs = args.jobs if args.jobs is not None else 1
     progress = CliProgress(out)
     try:
-        execution = run_load_tasks(tasks, config, jobs=jobs, store=store,
-                                   progress=progress)
+        execution = run_load_tasks(tasks, config, backend=backend,
+                                   store=store, progress=progress)
     finally:
+        if backend is not None:
+            backend.close()
         progress.finish()
         if store is not None:
             store.close()

@@ -1,7 +1,8 @@
 """Pluggable execution backends and the wave scheduler.
 
-A backend executes batches of :class:`~repro.core.plan.RunTask`\\ s;
-the scheduler (:func:`run_plan`) walks a :class:`CampaignPlan` wave by
+A backend maps a chunk worker over a batch of items (campaign
+:class:`~repro.core.plan.RunTask`\\ s, load-campaign cells); the
+scheduler (:func:`run_plan`) walks a :class:`CampaignPlan` wave by
 wave, consults the optional :class:`~repro.core.store.RunStore` for
 already-checkpointed runs, applies the activation gates, and hands
 every completed run back in canonical fault-list order.
@@ -21,7 +22,7 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .collector import RunResult, infer_result
 from .plan import CampaignPlan, RunTask, TaskKind
@@ -29,7 +30,7 @@ from .runner import RunConfig, execute_run
 from .store import config_fingerprint
 from .workload import MiddlewareKind, WorkloadSpec, get_workload
 
-OnResult = Callable[[RunTask, RunResult], None]
+OnResult = Callable[[Any, Any], None]
 
 
 # How often a pool worker checks that its parent is still alive.
@@ -54,12 +55,24 @@ def exit_with_parent(parent_pid: int) -> None:
 
 
 class ExecutionBackend:
-    """Executes batches of run tasks; results align with the batch."""
+    """Executes batches of items; results align with the batch."""
+
+    def map_chunks(self, worker: Callable[..., list], items: Sequence,
+                   *args, on_result: Optional[OnResult] = None) -> list:
+        """Run ``worker(chunk, *args)`` over ``items`` cut into chunks.
+
+        The worker returns a list aligned with its chunk.  ``on_result``
+        (when given) is called with ``(item, result)`` once per item, in
+        item order, and the results come back in item order.
+        """
+        raise NotImplementedError
 
     def run_tasks(self, tasks: Sequence[RunTask], workload: WorkloadSpec,
                   middleware: MiddlewareKind, config: RunConfig,
                   on_result: Optional[OnResult] = None) -> list[RunResult]:
-        raise NotImplementedError
+        """Execute one batch of campaign run tasks."""
+        return self.map_chunks(_run_chunk, tasks, workload, middleware,
+                               config, on_result=on_result)
 
     def close(self) -> None:
         """Release worker resources (no-op for in-process backends)."""
@@ -72,36 +85,39 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process, one run at a time — the reference implementation."""
+    """In-process, one item at a time — the reference implementation.
 
-    def run_tasks(self, tasks, workload, middleware, config,
-                  on_result=None) -> list[RunResult]:
+    Each result reaches ``on_result`` before the next item starts."""
+
+    def map_chunks(self, worker, items, *args, on_result=None) -> list:
         results = []
-        for task in tasks:
-            run = execute_run(workload, middleware, task.fault, config)
+        for item in items:
+            [result] = worker([item], *args)
             if on_result is not None:
-                on_result(task, run)
-            results.append(run)
+                on_result(item, result)
+            results.append(result)
         return results
 
     def __repr__(self) -> str:
         return "<SerialBackend>"
 
 
-def _run_chunk(workload_name: str, middleware_value: str,
-               faults: list, config: RunConfig) -> list[RunResult]:
-    """Worker body: execute one chunk of faults in a pool process."""
-    workload = get_workload(workload_name)
-    middleware = MiddlewareKind(middleware_value)
-    return [execute_run(workload, middleware, fault, config)
-            for fault in faults]
+def _run_chunk(tasks: list[RunTask], workload: WorkloadSpec | str,
+               middleware: MiddlewareKind,
+               config: RunConfig) -> list[RunResult]:
+    """Worker body: execute one chunk of run tasks.  A pool process
+    gets the workload by name and resolves it from the registry."""
+    if isinstance(workload, str):
+        workload = get_workload(workload)
+    return [execute_run(workload, middleware, task.fault, config)
+            for task in tasks]
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Dispatches runs across a ``concurrent.futures`` process pool.
+    """Dispatches chunks across a ``concurrent.futures`` process pool.
 
-    Tasks are submitted in chunks (one IPC round-trip per chunk, not
-    per run) and results are collected in submission order, so the
+    Items are submitted in chunks (one IPC round-trip per chunk, not
+    per item) and results are collected in submission order, so the
     caller sees the same sequence a serial backend would produce.
 
     Workloads cross the process boundary *by name*: workers resolve
@@ -129,32 +145,32 @@ class ProcessPoolBackend(ExecutionBackend):
                 initializer=exit_with_parent, initargs=(os.getpid(),))
         return self._pool
 
-    def _chunks(self, tasks: Sequence[RunTask]) -> list[list[RunTask]]:
+    def _chunks(self, items: Sequence) -> list[list]:
         size = self.chunk_size
         if size is None:
             # Aim for a few chunks per worker so stragglers rebalance.
-            size = max(1, len(tasks) // (self.jobs * 4) + 1)
-        return [list(tasks[start:start + size])
-                for start in range(0, len(tasks), size)]
+            size = max(1, len(items) // (self.jobs * 4) + 1)
+        return [list(items[start:start + size])
+                for start in range(0, len(items), size)]
 
     def run_tasks(self, tasks, workload, middleware, config,
                   on_result=None) -> list[RunResult]:
-        if not tasks:
+        return super().run_tasks(tasks, workload.name, middleware, config,
+                                 on_result=on_result)
+
+    def map_chunks(self, worker, items, *args, on_result=None) -> list:
+        if not items:
             return []
         pool = self._ensure_pool()
-        chunks = self._chunks(tasks)
-        futures = [
-            pool.submit(_run_chunk, workload.name, middleware.value,
-                        [task.fault for task in chunk], config)
-            for chunk in chunks
-        ]
-        results: list[RunResult] = []
+        chunks = self._chunks(items)
+        futures = [pool.submit(worker, chunk, *args) for chunk in chunks]
+        results: list = []
 
-        def record(chunk, runs) -> None:
-            for task, run in zip(chunk, runs):
+        def record(chunk, chunk_results) -> None:
+            for item, result in zip(chunk, chunk_results):
                 if on_result is not None:
-                    on_result(task, run)
-                results.append(run)
+                    on_result(item, result)
+                results.append(result)
 
         for index, future in enumerate(futures):
             try:
@@ -169,9 +185,10 @@ class ProcessPoolBackend(ExecutionBackend):
         """A chunk raised: don't orphan the rest of the wave.
 
         Chunks still queued are cancelled; chunks already running are
-        waited out and their completed runs handed to ``on_result``, so
-        everything that finished reaches the store before the exception
-        propagates and a resume re-executes only what truly never ran.
+        waited out and their completed results handed to ``on_result``,
+        so every run that finished reaches the store before the
+        exception propagates and a resume re-executes only what truly
+        never ran.
         """
         remaining = futures[failed + 1:]
         for future in remaining:
@@ -181,11 +198,11 @@ class ProcessPoolBackend(ExecutionBackend):
             if future.cancelled():
                 continue
             try:
-                runs = future.result()
+                chunk_results = future.result()
             except BaseException:
                 continue  # another failing chunk; the first wins
             try:
-                record(chunk, runs)
+                record(chunk, chunk_results)
             except BaseException:
                 continue  # recording itself is failing; keep draining
 

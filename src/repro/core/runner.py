@@ -41,7 +41,6 @@ class RunConfig:
                  client_timeout: float = DEFAULT_CLIENT_TIMEOUT,
                  watchd_version: int = 3,
                  cpu_mhz: int = 100,
-                 keep_full_trace: bool = False,
                  scm_lock_enabled: bool = True,
                  trace_level="off"):
         self.base_seed = base_seed
@@ -49,7 +48,6 @@ class RunConfig:
         self.client_timeout = client_timeout
         self.watchd_version = watchd_version
         self.cpu_mhz = cpu_mhz
-        self.keep_full_trace = keep_full_trace
         self.scm_lock_enabled = scm_lock_enabled
         # Deliberately excluded from the store's config fingerprint:
         # tracing observes a run without influencing it, so results
@@ -100,7 +98,6 @@ def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
     tracer = Tracer(level) if level is not TraceLevel.OFF else None
     machine = Machine(seed=config.seed_for(workload, middleware, fault),
                       cpu_mhz=config.cpu_mhz,
-                      keep_full_trace=config.keep_full_trace,
                       scm_lock_enabled=config.scm_lock_enabled,
                       tracer=tracer)
     if tracer is not None:
@@ -137,12 +134,8 @@ def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
     middleware_program = workload.deploy_middleware(
         machine, middleware, watchd_version=config.watchd_version)
 
-    # --- Wait for the server to be up ---------------------------------
-    deadline = config.server_up_timeout
-    while machine.now < deadline and \
-            not machine.transport.is_listening(workload.port):
-        machine.run(until=min(machine.now + _POLL_STEP, deadline))
-    server_came_up = machine.transport.is_listening(workload.port)
+    server_came_up = _wait_for_server(machine, workload,
+                                      config.server_up_timeout)
     if tracer is not None:
         tracer.emit(machine.now, "run", "server-up", came_up=server_came_up)
 
@@ -159,12 +152,7 @@ def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
                     completed=not client_process.alive)
 
     # --- Workload termination -------------------------------------------
-    # Monitoring stops first (as DTS tears the workload down), so the
-    # middleware does not misinterpret the shutdown as a failure.
-    for role in ("mscs", "watchd"):
-        for process in machine.processes.processes_with_role(role):
-            if process.alive:
-                process.terminate(exit_code=0)
+    _stop_monitoring(machine)
     _graceful_shutdown(machine)
     # A sustained-fault window still open at teardown is closed here so
     # its activation trace event always has a deactivation pair.
@@ -195,6 +183,25 @@ def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
     machine.check_connection_hygiene()
     machine.shutdown()
     return result
+
+
+def _wait_for_server(machine: Machine, workload: WorkloadSpec,
+                     deadline: float) -> bool:
+    """Advance the machine until the workload's port is listening or
+    the clock reaches ``deadline``; True when the server came up."""
+    while machine.now < deadline and \
+            not machine.transport.is_listening(workload.port):
+        machine.run(until=min(machine.now + _POLL_STEP, deadline))
+    return machine.transport.is_listening(workload.port)
+
+
+def _stop_monitoring(machine: Machine) -> None:
+    """Stop the middleware first (as DTS tears the workload down), so
+    it does not misinterpret the shutdown as a failure."""
+    for role in ("mscs", "watchd"):
+        for process in machine.processes.processes_with_role(role):
+            if process.alive:
+                process.terminate(exit_code=0)
 
 
 def _graceful_shutdown(machine: Machine) -> None:

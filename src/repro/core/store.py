@@ -259,7 +259,9 @@ def config_fingerprint(workload_name: str, middleware: MiddlewareKind,
         "client_timeout": config.client_timeout,
         "watchd_version": config.watchd_version,
         "cpu_mhz": config.cpu_mhz,
-        "keep_full_trace": config.keep_full_trace,
+        # Frozen: the per-call record this switched is gone, but the
+        # entry stays so fingerprints of existing stores still match.
+        "keep_full_trace": False,
         "scm_lock_enabled": config.scm_lock_enabled,
     }
     digest = hashlib.sha256(

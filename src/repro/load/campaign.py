@@ -9,12 +9,9 @@ store files to the serial path, whatever the worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
-import os
 from typing import Optional, Sequence
 
-from ..core.exec import SafeProgress, exit_with_parent
+from ..core.exec import ExecutionBackend, SafeProgress, SerialBackend
 from ..core.runner import RunConfig
 from .result import LoadRunResult
 from .runner import execute_load_run
@@ -50,11 +47,11 @@ def plan_load_tasks(spec: LoadSpec, reps: int = 1,
             for variant in specs for rep in range(reps)]
 
 
-def _run_load_chunk(tasks: list[LoadTask],
+def _run_load_chunk(chunk: list[tuple[int, LoadTask]],
                     config: RunConfig) -> list[LoadRunResult]:
-    """Worker body: execute one chunk of load tasks in a pool process."""
+    """Worker body: execute one chunk of ``(slot, task)`` pairs."""
     return [execute_load_run(task.spec, task.rep, config)
-            for task in tasks]
+            for _, task in chunk]
 
 
 class LoadExecution:
@@ -70,16 +67,16 @@ class LoadExecution:
 
 
 def run_load_tasks(tasks: Sequence[LoadTask], config: RunConfig,
-                   jobs: int = 1, store=None,
+                   backend: Optional[ExecutionBackend] = None, store=None,
                    progress=None) -> LoadExecution:
     """Execute a load-task grid, checkpointing as runs complete.
 
-    Results come back in task order regardless of ``jobs``; completed
-    runs are checkpointed to ``store`` (when given) before the progress
-    callback fires, and cached runs are served without re-execution.
+    Results come back in task order whatever the ``backend`` (default
+    serial); completed runs are checkpointed to ``store`` (when given)
+    before the progress callback fires, and cached runs are served
+    without re-execution.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    backend = backend or SerialBackend()
     execution = LoadExecution()
     execution.total = len(tasks)
     safe_progress = SafeProgress(progress)
@@ -99,8 +96,9 @@ def run_load_tasks(tasks: Sequence[LoadTask], config: RunConfig,
         else:
             pending.append((index, task))
 
-    def record(index: int, task: LoadTask, run: LoadRunResult) -> None:
+    def record(item: tuple[int, LoadTask], run: LoadRunResult) -> None:
         nonlocal done
+        index, task = item
         if store is not None:
             store.put(task.spec.fingerprint(config), task.spec.key(task.rep),
                       run)
@@ -109,32 +107,7 @@ def run_load_tasks(tasks: Sequence[LoadTask], config: RunConfig,
         done += 1
         safe_progress(done, execution.total, run)
 
-    if jobs == 1 or len(pending) <= 1:
-        for index, task in pending:
-            record(index, task, execute_load_run(task.spec, task.rep, config))
-    else:
-        _run_pool(pending, config, jobs, record)
-
+    backend.map_chunks(_run_load_chunk, pending, config, on_result=record)
     execution.runs = [run for run in slots if run is not None]
     return execution
 
-
-def _run_pool(pending, config: RunConfig, jobs: int, record) -> None:
-    """Chunked process-pool dispatch, results in submission order."""
-    context = None
-    if "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-    chunk_size = max(1, len(pending) // (jobs * 4) + 1)
-    chunks = [pending[start:start + chunk_size]
-              for start in range(0, len(pending), chunk_size)]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context,
-            initializer=exit_with_parent,
-            initargs=(os.getpid(),)) as pool:
-        futures = [
-            pool.submit(_run_load_chunk, [task for _, task in chunk], config)
-            for chunk in chunks
-        ]
-        for chunk, future in zip(chunks, futures):
-            for (index, task), run in zip(chunk, future.result()):
-                record(index, task, run)

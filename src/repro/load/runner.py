@@ -16,14 +16,19 @@ from __future__ import annotations
 from typing import Optional
 
 from ..nt.machine import Machine
-from ..core.runner import RunConfig, _graceful_shutdown, arm_fault
+from ..core.runner import (
+    RunConfig,
+    _graceful_shutdown,
+    _stop_monitoring,
+    _wait_for_server,
+    arm_fault,
+)
 from ..core.workload import WORKLOADS, WorkloadSpec
 from ..trace import TraceLevel, Tracer
 from .client import LoadClient
 from .result import ClientStats, LoadRunResult
 from .spec import LoadSpec
 
-_POLL_STEP = 0.5
 # Virtual seconds per engine burst while the client population drains.
 # Coarser than execute_run's 2.0s: with 100 clients in flight the
 # alive-scan between bursts is the overhead worth amortizing.
@@ -43,7 +48,6 @@ def execute_load_run(spec: LoadSpec, rep: int = 0,
     machine = Machine(
         seed=spec.seed(config.base_seed, config.watchd_version, rep),
         cpu_mhz=config.cpu_mhz,
-        keep_full_trace=config.keep_full_trace,
         scm_lock_enabled=config.scm_lock_enabled,
         tracer=tracer)
     workload.setup(machine)
@@ -52,12 +56,8 @@ def execute_load_run(spec: LoadSpec, rep: int = 0,
     workload.deploy_middleware(machine, spec.middleware,
                                watchd_version=config.watchd_version)
 
-    # --- Wait for the server to be up ---------------------------------
-    deadline = config.server_up_timeout
-    while machine.now < deadline and \
-            not machine.transport.is_listening(workload.port):
-        machine.run(until=min(machine.now + _POLL_STEP, deadline))
-    server_came_up = machine.transport.is_listening(workload.port)
+    server_came_up = _wait_for_server(machine, workload,
+                                      config.server_up_timeout)
 
     # --- Release the client population ---------------------------------
     # All clients are spawned up front with their arrival offset baked
@@ -79,10 +79,7 @@ def execute_load_run(spec: LoadSpec, rep: int = 0,
         machine.run(until=min(machine.now + _DRAIN_STEP, horizon))
 
     # --- Workload termination -------------------------------------------
-    for role in ("mscs", "watchd"):
-        for process in machine.processes.processes_with_role(role):
-            if process.alive:
-                process.terminate(exit_code=0)
+    _stop_monitoring(machine)
     # Clients still running at the horizon are cut off, not leakers.
     for process in processes:
         if process.alive:

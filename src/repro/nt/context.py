@@ -12,7 +12,9 @@ calling thread::
 
 Every call runs a flattened per-signature *handler*, compiled by
 :func:`build_call_handler` the first time any process touches an
-export and bound to the calling process's context:
+export and bound to the calling process's context — the only dispatch
+path, also for the Linux port's ``ctx.libc``
+(:class:`repro.posix.context.PosixContext`):
 
 1. semantic arguments are lowered to raw 32-bit words,
 2. the interception layer lets hooks (the fault injector) rewrite them,
@@ -30,25 +32,24 @@ the handler is cached on the :class:`FunctionSig` and shared by every
 process of every machine.  What belongs to one process — the hook
 lists, the invocation counters, the called set, the encoder/decoder,
 the tracer — is read through ``ctx`` at call time, from slots the
-context binds on its first resolution.  It is the only dispatch path
-for Win32 programs: the four steps run in one loop body rather than
-through :meth:`InterceptionLayer.dispatch` (which the POSIX context
-still uses).  The hook list and return-hook list are bound *by object
-identity*, so hooks added or removed later (``add_hook`` mutates the
-list in place) are still honoured on the next call.
+context binds on its first resolution.  The hook list and return-hook
+list are bound *by object identity*, so hooks added or removed later
+(``add_hook`` mutates the list in place) are still honoured on the
+next call.
 
-At machine teardown :meth:`Win32Context.release` drops every reference
-the context holds, which breaks the cycles through its proxy's
-memoised (context-bound) handlers.
+At machine teardown :meth:`DispatchContext.release` drops every
+reference the context holds, which breaks the cycles through its
+proxy's memoised (context-bound) handlers.
 """
 
 from __future__ import annotations
 
+import inspect
 from types import MethodType
 from typing import TYPE_CHECKING, Any
 
 from ..sim import Sleep
-from .interception import CallOverride, CallRecord
+from .interception import CallOverride
 from .kernel32 import runtime
 from .kernel32.signatures import REGISTRY, FunctionSig
 from .memory import MASK32, ArgKind, DecodedArg
@@ -59,20 +60,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class UnknownExportError(AttributeError):
-    """A program referenced a function kernel32 does not export."""
+    """A program referenced a function its library does not export."""
 
 
-def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
+def build_call_handler(ctx: "DispatchContext", sig: FunctionSig):
     """Resolve one export for one process: the signature's handler,
     bound to ``ctx``.
 
     The handler itself is compiled the first time any process resolves
     ``sig`` and cached on the signature; it captures only what is fixed
-    per signature (name, arity, pointer flags, the implementation and
-    its blocking-ness).  Everything per-process or per-machine — the
-    hook lists, the per-pid invocation dict, the per-role called set,
-    the encoder/decoder, the tracer — is read through ``ctx`` at call
-    time, from slots :meth:`Win32Context._bind` fills on the process's
+    per signature (name, arity, pointer flags, the implementation from
+    ``ctx.implementations`` and its blocking-ness).  Everything
+    per-process or per-machine — the hook lists, the per-pid invocation
+    dict, the per-role called set, the encoder/decoder, the tracer — is
+    read through ``ctx`` at call time, from slots
+    :meth:`DispatchContext._bind` fills on the process's
     first resolution.  The hook lists are bound by identity, so hooks
     added or removed later are still honoured on the next call.
     """
@@ -86,14 +88,13 @@ def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
     nparams = len(sig.params)
     pointer_flags = sig.pointer_flags
     has_pointers = any(pointer_flags)
-    impl = runtime.lookup(name)
-    blocking = runtime.is_blocking(name)
+    impl = ctx.implementations.get(name)
     if impl is None:
         impl = runtime.generic_implementation
-        blocking = False
+    blocking = inspect.isgeneratorfunction(impl)
     Frame = runtime.Frame
 
-    def call(ctx: "Win32Context", *sem_args: Any):
+    def call(ctx: "DispatchContext", *sem_args: Any):
         if len(sem_args) != nparams:
             raise TypeError(
                 f"{name} takes {nparams} arguments, got {len(sem_args)}"
@@ -138,12 +139,6 @@ def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
             tracer.emit(ctx._engine.now, "call", "enter",
                         pid=process.pid, role=process.role, func=name,
                         invocation=invocation, injected=injected)
-        trace_append = ctx._trace_append
-        if trace_append is not None:
-            trace_append(CallRecord(
-                ctx._engine.now, process.pid, process.role, name,
-                invocation, injected,
-            ))
         if override is not None:
             if override.delay > 0.0:
                 yield Sleep(override.delay)
@@ -188,13 +183,14 @@ def build_call_handler(ctx: "Win32Context", sig: FunctionSig):
         return ctx._interception.dispatch_return(process, sig, result)
 
     call.__name__ = name
-    call.__qualname__ = f"k32.{name}"
+    call.__qualname__ = f"{ctx.library}.{name}"
     sig._handler = call
     return MethodType(call, ctx)
 
 
-class _K32Proxy:
-    """Attribute-style access to the export table: ``ctx.k32.ReadFile``.
+class ExportProxy:
+    """Attribute-style access to a context's export table:
+    ``ctx.k32.ReadFile``, ``ctx.libc.open``.
 
     Resolution binds the signature's handler (see
     :func:`build_call_handler`) to the context and memoises the bound
@@ -202,39 +198,49 @@ class _K32Proxy:
     ``__getattr__`` once per process rather than once per call.
     """
 
-    def __init__(self, ctx: "Win32Context"):
+    def __init__(self, ctx: "DispatchContext"):
         self._ctx = ctx
 
     def __getattr__(self, name: str):
-        sig = REGISTRY.get(name)
+        ctx = self._ctx
+        sig = ctx.registry.get(name)
         if sig is None:
-            raise UnknownExportError(f"KERNEL32.dll has no export {name!r}")
-        call = build_call_handler(self._ctx, sig)
+            raise UnknownExportError(
+                f"ctx.{ctx.library} has no export {name!r}")
+        call = build_call_handler(ctx, sig)
         setattr(self, name, call)
         return call
 
 
-class Win32Context:
-    """Per-process gateway to the simulated NT machine."""
+class DispatchContext:
+    """Per-process gateway to one library's export table.
+
+    A subclass names the table: ``registry`` (name to
+    :class:`FunctionSig`), ``implementations`` (name to implementation;
+    unlisted exports run the generic one) and ``library``, the proxy
+    attribute programs call through.
+    """
+
+    registry: dict[str, FunctionSig]
+    implementations: dict[str, Any]
+    library: str
 
     # The underscored slots are the per-process dispatch state the
     # shared handlers read at call time; None until the process
     # resolves its first export (see _bind).
-    __slots__ = ("machine", "process", "k32", "_interception", "_hooks",
+    __slots__ = ("machine", "process", "_interception", "_hooks",
                  "_return_hooks", "_per_pid", "_called_add", "_call_counts",
-                 "_trace_append", "_encode", "_decode", "_int_args",
-                 "_engine", "_tracer")
+                 "_encode", "_decode", "_int_args", "_engine", "_tracer")
 
     def __init__(self, machine: "Machine", process: "NTProcess"):
         self.machine = machine
         self.process = process
-        self.k32 = _K32Proxy(self)
         self._per_pid = None
 
     def _bind(self) -> None:
         """Bind the dispatch state on the process's first resolution:
         the per-pid invocation dict and per-role called set come into
-        being here, exactly when the process first touches kernel32."""
+        being here, exactly when the process first touches its library."""
         machine = self.machine
         process = self.process
         interception = machine.interception
@@ -246,8 +252,6 @@ class Win32Context:
         self._called_add = interception._called_by_role.setdefault(
             process.role, set()).add
         self._call_counts = interception._call_counts
-        self._trace_append = (interception.trace.append
-                              if interception.keep_full_trace else None)
         self._encode = space.encode
         self._decode = space.decode
         self._int_args = space._int_args
@@ -257,18 +261,38 @@ class Win32Context:
     def release(self) -> None:
         """Machine teardown: drop every reference this context holds.
         Its proxy's memoised handlers are bound to it, and objects the
-        program handed to kernel32 (interned by the address space) may
-        hold it, so either link would otherwise close a cycle."""
-        for name in self.__slots__:
-            setattr(self, name, None)
+        program handed to the library (interned by the address space)
+        may hold it, so either link would otherwise close a cycle."""
+        for cls in type(self).__mro__[:-1]:
+            for name in cls.__slots__:
+                setattr(self, name, None)
 
-    # ------------------------------------------------------------------
-    # Conveniences for program code (not part of the Win32 surface)
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         return self.machine.engine.now
 
+    def memory(self, address: int):
+        """Resolve a raw pointer (e.g. a HeapAlloc result) back to its
+        buffer — the program-side equivalent of dereferencing it."""
+        return self.machine.address_space.resolve(address)
+
+
+class Win32Context(DispatchContext):
+    """Per-process gateway to the simulated NT machine."""
+
+    registry = REGISTRY
+    implementations = runtime.IMPLEMENTATIONS
+    library = "k32"
+
+    __slots__ = ("k32",)
+
+    def __init__(self, machine: "Machine", process: "NTProcess"):
+        super().__init__(machine, process)
+        self.k32 = ExportProxy(self)
+
+    # ------------------------------------------------------------------
+    # Conveniences for program code (not part of the Win32 surface)
+    # ------------------------------------------------------------------
     def compute(self, seconds: float):
         """Model CPU-bound work; scales with the machine's clock speed
         and with any active CPU-starvation tax (a resource fault)."""
@@ -279,8 +303,3 @@ class Win32Context:
     def log_debug(self, message: str) -> None:
         """Program-side diagnostics kept on the machine for tests."""
         self.machine.debug_log.append((self.now, self.process.pid, message))
-
-    def memory(self, address: int):
-        """Resolve a raw pointer (e.g. a HeapAlloc result) back to its
-        buffer — the program-side equivalent of dereferencing it."""
-        return self.machine.address_space.resolve(address)

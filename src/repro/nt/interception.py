@@ -2,12 +2,15 @@
 
 On the paper's real system DTS rewrites a process's import address
 table so that every ``KERNEL32.dll`` call passes through a thunk that
-may corrupt parameter values.  Here every simulated kernel32 call is
-dispatched through this layer, which gives registered hooks the same
-power: observe the call, and rewrite its raw argument words before the
-implementation sees them.
+may corrupt parameter values.  Here every simulated kernel32 (or, on
+the Linux port, libc) call runs a per-signature handler
+(:func:`repro.nt.context.build_call_handler`) that consults this
+layer's hooks, which gives them the same power: observe the call, and
+rewrite its raw argument words before the implementation sees them.
+The ``call.enter``/``call.exit`` events of a ``calls``-level
+:class:`repro.trace.Tracer` are the per-call record.
 
-The layer also keeps the *call trace* the rest of DTS relies on:
+The layer also keeps the call counters the rest of DTS relies on:
 
 - which functions each process role has called (Table 1 counts and the
   fault-activation skip heuristic), and
@@ -80,33 +83,13 @@ class ReturnHook(Protocol):
         """
 
 
-class CallRecord:
-    """One intercepted call, as kept in the machine-wide trace."""
-
-    __slots__ = ("time", "pid", "role", "func", "invocation", "injected")
-
-    def __init__(self, time: float, pid: int, role: str, func: str,
-                 invocation: int, injected: bool):
-        self.time = time
-        self.pid = pid
-        self.role = role
-        self.func = func
-        self.invocation = invocation
-        self.injected = injected
-
-    def __repr__(self) -> str:
-        mark = " INJ" if self.injected else ""
-        return f"<Call t={self.time:.3f} {self.role}/{self.pid} {self.func}#{self.invocation}{mark}>"
-
-
 class InterceptionLayer:
-    """Dispatch point between program code and kernel32 implementations."""
+    """Hooks and call counters between program code and library
+    implementations."""
 
-    def __init__(self, keep_full_trace: bool = True):
+    def __init__(self):
         self.hooks: list[CallHook] = []
         self.return_hooks: list[ReturnHook] = []
-        self.keep_full_trace = keep_full_trace
-        self.trace: list[CallRecord] = []
         # Per-pid invocation counters, nested rather than keyed by
         # (pid, name) tuples: dispatch runs for every simulated library
         # call, and the nested form needs no key allocation there.
@@ -138,50 +121,6 @@ class InterceptionLayer:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def dispatch(self, process: "NTProcess", sig: FunctionSig,
-                 raw_args: tuple[int, ...]):
-        """Run hooks over one call.
-
-        Returns ``(raw_args, override)`` — the possibly corrupted
-        argument words plus the last :class:`CallOverride` any hook
-        issued (None when the call proceeds normally).
-        """
-        name = sig.name
-        per_pid = self._invocations.get(process.pid)
-        if per_pid is None:
-            per_pid = self._invocations[process.pid] = {}
-        invocation = per_pid.get(name, 0) + 1
-        per_pid[name] = invocation
-
-        injected = False
-        override = None
-        for hook in self.hooks:
-            replacement = hook.on_call(process, sig, invocation, raw_args)
-            if replacement is not None:
-                if replacement.__class__ is CallOverride:
-                    override = replacement
-                else:
-                    raw_args = replacement
-                injected = True
-
-        called = self._called_by_role.get(process.role)
-        if called is None:
-            called = self._called_by_role[process.role] = set()
-        called.add(name)
-        counts = self._call_counts
-        counts[name] = counts.get(name, 0) + 1
-        tracer = process.machine.tracer
-        if tracer is not None and tracer.calls_enabled:
-            tracer.emit(process.machine.engine.now, "call", "enter",
-                        pid=process.pid, role=process.role, func=sig.name,
-                        invocation=invocation, injected=injected)
-        if self.keep_full_trace:
-            self.trace.append(CallRecord(
-                process.machine.engine.now, process.pid, process.role,
-                sig.name, invocation, injected,
-            ))
-        return raw_args, override
-
     def dispatch_return(self, process: "NTProcess", sig: FunctionSig,
                         result):
         """Run return hooks over one completed call's result."""

@@ -24,7 +24,6 @@ in the ``impl_*`` modules.
 
 from __future__ import annotations
 
-import inspect
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import (
@@ -159,7 +158,6 @@ class Frame:
 Implementation = Callable[[Frame], Any]
 
 IMPLEMENTATIONS: dict[str, Implementation] = {}
-BLOCKING: set[str] = set()
 
 
 def k32impl(name: str) -> Callable[[Implementation], Implementation]:
@@ -169,19 +167,9 @@ def k32impl(name: str) -> Callable[[Implementation], Implementation]:
         if name in IMPLEMENTATIONS:
             raise ValueError(f"duplicate implementation for {name}")
         IMPLEMENTATIONS[name] = fn
-        if inspect.isgeneratorfunction(fn):
-            BLOCKING.add(name)
         return fn
 
     return register
-
-
-def lookup(name: str) -> Optional[Implementation]:
-    return IMPLEMENTATIONS.get(name)
-
-
-def is_blocking(name: str) -> bool:
-    return name in BLOCKING
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +209,6 @@ __all__ = [
     "Frame",
     "IMPLEMENTATIONS",
     "k32impl",
-    "lookup",
-    "is_blocking",
     "generic_implementation",
     "Buffer",
     "CString",

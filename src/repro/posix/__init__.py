@@ -1,9 +1,10 @@
 """The Linux port (Section 5's ongoing work, preliminary results).
 
 Provides the two system-dependent pieces the paper's port had to
-rewrite — a libc dispatch (:mod:`context`) over a libc export table
-(:mod:`libc`), and an init-style supervisor (:mod:`initd`) in place of
-the SCM — plus the Apache-on-Linux workload and a PID-based watchd.
+rewrite — a context (:mod:`context`) naming a libc export table
+(:mod:`libc`) for the shared dispatch handler, and an init-style
+supervisor (:mod:`initd`) in place of the SCM — plus the
+Apache-on-Linux workload and a PID-based watchd.
 The DTS core (fault lists, injector, campaign, collector) is reused
 without modification.
 """

@@ -263,7 +263,7 @@ class JobQueue:
             if fingerprint not in seen:
                 seen.add(fingerprint)
                 job.fingerprints.append(fingerprint)
-        execution = run_load_tasks(tasks, config, jobs=1,
+        execution = run_load_tasks(tasks, config, backend=self.backend,
                                    store=self.store,
                                    progress=self._progress(job))
         job.cached_count = execution.cached_count

@@ -208,3 +208,21 @@ def test_chunk_failure_drain_tolerates_failing_on_result(config):
     # The first run was recorded (then its exception propagated); the
     # drain attempted the rest without hanging on the raised recorder.
     assert seen[0] == real[0].key
+
+
+def test_serial_map_records_each_item_before_the_next_starts():
+    """The serial backend runs one item per worker call, and hands its
+    result to ``on_result`` before the next item starts — so a campaign
+    interrupted mid-batch has already checkpointed every finished run."""
+    events = []
+
+    def worker(chunk, tag):
+        events.append(("run", chunk))
+        return [f"{tag}{item}" for item in chunk]
+
+    results = SerialBackend().map_chunks(
+        worker, [1, 2], "r",
+        on_result=lambda item, result: events.append(("got", item, result)))
+    assert results == ["r1", "r2"]
+    assert events == [("run", [1]), ("got", 1, "r1"),
+                      ("run", [2]), ("got", 2, "r2")]

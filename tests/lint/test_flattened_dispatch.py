@@ -1,10 +1,10 @@
 """Lint visibility of the flattened dispatch chain.
 
-Per-syscall dispatch runs in per-signature *pre-bound handler
-closures* (``repro.nt.context.build_call_handler``): a generator
-function nested inside a plain function, compiled once per (process,
-export).  These tests pin the properties that keep that shape inside
-the analyzer's field of view:
+Per-syscall dispatch runs in per-signature *handler closures*
+(``repro.nt.context.build_call_handler``): a generator function nested
+inside a plain function, compiled once per signature and bound to the
+calling context.  These tests pin the properties that keep that shape
+inside the analyzer's field of view:
 
 - nested handler closures are indexed, so sim-hang and yield-race
   findings inside a pre-bound handler are still reported;

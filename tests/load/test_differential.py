@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.core.exec import ProcessPoolBackend
 from repro.core.runner import RunConfig
 from repro.core.store import RunStore
 from repro.load.campaign import plan_load_tasks, run_load_tasks
@@ -30,11 +31,15 @@ def _jobs_under_test() -> list[int]:
 def _run_to_store(path, jobs: int) -> bytes:
     config = RunConfig(base_seed=2000)
     tasks = plan_load_tasks(SPEC, reps=REPS, sweep=SWEEP)
+    backend = ProcessPoolBackend(jobs) if jobs > 1 else None
     store = RunStore(path)
     try:
-        execution = run_load_tasks(tasks, config, jobs=jobs, store=store)
+        execution = run_load_tasks(tasks, config, backend=backend,
+                                   store=store)
     finally:
         store.close()
+        if backend is not None:
+            backend.close()
     assert len(execution.runs) == len(SWEEP) * REPS
     return path.read_bytes()
 
@@ -59,15 +64,39 @@ def test_resume_serves_cached_runs_without_execution(tmp_path):
 
     store = RunStore(path)
     try:
-        first = run_load_tasks(tasks, config, jobs=1, store=store)
+        first = run_load_tasks(tasks, config, store=store)
     finally:
         store.close()
     assert first.executed_count == 1 and first.cached_count == 0
 
     store = RunStore(path)
     try:
-        second = run_load_tasks(tasks, config, jobs=1, store=store)
+        second = run_load_tasks(tasks, config, store=store)
     finally:
         store.close()
     assert second.executed_count == 0 and second.cached_count == 1
     assert len(second.runs) == 1
+
+
+def test_pool_chunk_failure_keeps_finished_runs(tmp_path):
+    """A failing pool chunk must not drop the load runs that finished in
+    other chunks: they reach the store before the error propagates, so
+    a resume re-executes only the failing cell."""
+    from repro.core.faults import FaultSpec, FaultType
+    from repro.load.campaign import LoadTask
+
+    config = RunConfig(base_seed=2000)
+    poison = SPEC.replace(fault=FaultSpec("NoSuchExport", 0,
+                                          FaultType.ZERO, 1))
+    tasks = [LoadTask(poison, 0)] + [LoadTask(SPEC, rep) for rep in range(3)]
+    path = tmp_path / "runs.jsonl"
+    with ProcessPoolBackend(jobs=2) as backend:
+        with RunStore(path) as store:
+            with pytest.raises(ValueError, match="NoSuchExport"):
+                run_load_tasks(tasks, config, backend=backend, store=store)
+        with RunStore(path) as store:
+            assert len(store) == 3
+
+        # The pool survives the failure and keeps dispatching.
+        again = run_load_tasks(tasks[1:2], config, backend=backend)
+        assert again.executed_count == 1 and len(again.runs) == 1

@@ -1,9 +1,10 @@
 """How long a run's objects live: dispatch state and teardown.
 
-Kernel32 handlers are compiled once per signature and bound to each
-process's context, and ``Machine.shutdown`` breaks every reference
-cycle of the finished machine, so a run is freed by reference counting
-as soon as its caller drops it, without help from the cyclic collector.
+Library-call handlers (kernel32 and libc) are compiled once per
+signature and bound to each process's context, and
+``Machine.shutdown`` breaks every reference cycle of the finished
+machine, so a run is freed by reference counting as soon as its caller
+drops it, without help from the cyclic collector.
 """
 
 import gc
@@ -94,3 +95,12 @@ def test_iis_run_teardown_budget():
 def test_load_run_teardown_budget():
     spec = LoadSpec("Apache1", clients=100, iterations=2)
     assert _unreachable_after(lambda: execute_load_run(spec)) <= 1000
+
+
+def test_linux_run_teardown_budget():
+    # libc handlers are memoised on the context's proxy like kernel32's,
+    # so the same release must break the same cycles.
+    from repro.posix import APACHE1_LINUX
+
+    assert _unreachable_after(lambda: execute_run(
+        APACHE1_LINUX, MiddlewareKind.WATCHD, None)) == 0

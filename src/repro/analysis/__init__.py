@@ -8,13 +8,8 @@ from .availability import (
 )
 from .coverage import CoverageSummary, build_coverage
 from .fault_families import (
-    FAMILY_MECHANISMS,
-    FAMILY_ORDER,
     FamilyComparison,
     build_family_comparison,
-    build_family_comparison_from_runs,
-    family_of,
-    split_runs_by_family,
 )
 from .figures import (
     Figure2,
@@ -66,13 +61,8 @@ __all__ = [
     "response_times_by_class",
     "CoverageSummary",
     "build_coverage",
-    "FAMILY_MECHANISMS",
-    "FAMILY_ORDER",
     "FamilyComparison",
     "build_family_comparison",
-    "build_family_comparison_from_runs",
-    "family_of",
-    "split_runs_by_family",
     "AvailabilityEstimate",
     "estimate_availability",
     "compare_availability",

@@ -12,45 +12,11 @@ resource-exhaustion extension exists to make.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from ..core.campaign import WorkloadSetResult
-from ..core.faults import IoFault, ResourceFault
+from ..core.families import FAMILIES, get_family
 from .figures import OutcomeDistribution
-
-# CLI family name → campaign mechanism.
-FAMILY_MECHANISMS = {
-    "param": "parameter",
-    "return": "return",
-    "io": "io",
-    "resource": "resource",
-}
-
-# Canonical presentation order (the paper's mechanism first).
-FAMILY_ORDER = ("param", "return", "io", "resource")
-
-_FAMILY_LABELS = {
-    "param": "parameter corruption",
-    "return": "return-value corruption",
-    "io": "I/O-path faults",
-    "resource": "resource exhaustion",
-}
-
-
-def family_of(fault) -> Optional[str]:
-    """The family name a fault spec belongs to (None for profile)."""
-    if fault is None:
-        return None
-    if isinstance(fault, IoFault):
-        return "io"
-    if isinstance(fault, ResourceFault):
-        return "resource"
-    # Late import: return_injector pulls in the runner stack.
-    from ..core.return_injector import ReturnFaultSpec
-
-    if isinstance(fault, ReturnFaultSpec):
-        return "return"
-    return "param"
 
 
 class FamilyComparison:
@@ -61,13 +27,10 @@ class FamilyComparison:
         self.label = label
         self.distributions = dict(distributions)
 
-    def get(self, family: str) -> OutcomeDistribution:
-        return self.distributions[family]
-
     @property
     def families(self) -> list[str]:
-        return [family for family in FAMILY_ORDER
-                if family in self.distributions]
+        return [family.name for family in FAMILIES.values()
+                if family.name in self.distributions]
 
     def render(self) -> str:
         lines = [f"Outcome distributions by fault family — {self.label}"]
@@ -82,31 +45,7 @@ def build_family_comparison(
     """``results`` maps family name → its workload-set result."""
     distributions = {
         family: OutcomeDistribution.from_result(
-            _FAMILY_LABELS.get(family, family), result)
+            get_family(family).label, result)
         for family, result in results.items()
     }
-    return FamilyComparison(label, distributions)
-
-
-def split_runs_by_family(runs: Sequence) -> dict[str, list]:
-    """Partition a mixed run list (e.g. a shared store's contents) by
-    fault family, dropping profile runs."""
-    grouped: dict[str, list] = {}
-    for run in runs:
-        family = family_of(run.fault)
-        if family is None:
-            continue
-        grouped.setdefault(family, []).append(run)
-    return grouped
-
-
-def build_family_comparison_from_runs(label: str,
-                                      runs: Sequence) -> FamilyComparison:
-    """Family comparison over a mixed run list; only activated runs
-    count, mirroring Figure 2's normalization."""
-    distributions = {}
-    for family, group in split_runs_by_family(runs).items():
-        activated = [r for r in group if r.counts_for_statistics]
-        distributions[family] = OutcomeDistribution.from_runs(
-            _FAMILY_LABELS.get(family, family), activated)
     return FamilyComparison(label, distributions)

@@ -25,6 +25,7 @@ from .analysis.report import generate_experiments_report, shape_checks
 from .core.campaign import Campaign, profile_workload
 from .core.config import DtsConfig
 from .core.faultlist import generate_fault_list, write_fault_list_file
+from .core.families import FAMILIES, split_functions
 from .core.faults import FaultSpec
 from .core.runner import RunConfig, execute_run
 from .core.workload import WORKLOADS, MiddlewareKind, get_workload
@@ -75,9 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True,
                      help="path to the DTS main configuration file")
     run.add_argument("--functions", default=None,
-                     help="restrict to a comma-separated function subset")
+                     help="comma-separated names, each on the axis of a "
+                          "selected family: exports (param, return), io "
+                          "ops (io) or resource kinds (resource); a "
+                          "family none of them names runs in full")
     run.add_argument("--fault-family", default="param",
-                     choices=("param", "return", "io", "resource", "all"),
+                     choices=(*(family.name for family in FAMILIES.values()),
+                              "all"),
                      help="fault family to inject: parameter corruption "
                           "(default), return-value corruption, sustained "
                           "I/O-path faults, resource exhaustion, or "
@@ -372,10 +377,24 @@ def cmd_inject(args, out) -> int:
 
 
 def cmd_run(args, out) -> int:
-    config = DtsConfig.from_file(args.config)
+    try:
+        config = DtsConfig.from_file(args.config)
+    except ValueError as exc:
+        print(f"bad config {args.config}: {exc}", file=out)
+        return 2
     if args.trace_level is not None:
         config.trace_level = TraceLevel.parse(args.trace_level)
-    functions = args.functions.split(",") if args.functions else None
+    families = [family for family in FAMILIES.values()
+                if (family.in_comparison if args.fault_family == "all"
+                    else family.name == args.fault_family)]
+    try:
+        functions = split_functions(
+            [family.mechanism for family in families],
+            args.functions.split(",") if args.functions else None,
+            config.workload_spec())
+    except ValueError as exc:
+        print(f"--functions: {exc}", file=out)
+        return 2
     jobs = args.jobs if args.jobs is not None else config.jobs
     store, error = _open_store(args.store or config.store, args.resume, out)
     if error is not None:
@@ -394,50 +413,34 @@ def cmd_run(args, out) -> int:
                 store.close()
             return 2
 
-    from .analysis.fault_families import (
-        FAMILY_MECHANISMS,
-        FAMILY_ORDER,
-        build_family_comparison,
-    )
-
-    if args.fault_family == "all":
-        families = [f for f in FAMILY_ORDER if f != "return"]
-    else:
-        families = [args.fault_family]
+    from .analysis.fault_families import build_family_comparison
 
     label = f"{config.workload} / {config.middleware.label}"
     results = {}
     progress = CliProgress(out)
     try:
         for family in families:
-            mechanism = FAMILY_MECHANISMS[family]
+            # The equivalence manifest covers parameter faults only.
             campaign = Campaign(
                 config.workload, config.middleware,
-                # --functions names kernel32 exports; it only restricts
-                # the parameter/return spaces (io/resource enumerate
-                # their own op/resource axes).
-                functions=(functions if mechanism in ("parameter", "return")
-                           else None),
+                functions=functions[family.mechanism],
                 config=config.run_config(),
                 jobs=jobs if jobs > 1 else None, store=store,
-                progress=progress, mechanism=mechanism,
-                prune=prune if mechanism == "parameter" else None)
-            results[family] = campaign.run()
+                progress=progress, mechanism=family.mechanism, prune=prune)
+            results[family.name] = campaign.run()
     finally:
         progress.finish()
         if store is not None:
             store.close()
 
+    result = results[families[0].name]
     if len(results) > 1:
         print(build_family_comparison(label, results).render(), file=out)
-        result = results[families[0]]
     else:
-        result = results[families[0]]
         dist = OutcomeDistribution.from_result(label, result)
         print(dist.render(), file=out)
-    for family in families:
-        set_result = results[family]
-        prefix = f"[{family}] " if len(results) > 1 else ""
+    for name, set_result in results.items():
+        prefix = f"[{name}] " if len(results) > 1 else ""
         print(f"{prefix}activated faults : "
               f"{set_result.activated_count}", file=out)
         print(f"{prefix}failure coverage : "

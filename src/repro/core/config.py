@@ -9,14 +9,11 @@ workload parameters."*  This is that file, in INI form::
     workload = IIS
     middleware = watchd
     watchd_version = 3
-    fault_list = faults.lst
     base_seed = 2000
 
     [timeouts]
     server_up = 90
     client = 240
-    reply = 15
-    retry_wait = 15
 
     [machine]
     cpu_mhz = 100
@@ -27,6 +24,9 @@ workload parameters."*  This is that file, in INI form::
 
     [trace]
     level = outcome
+
+Older versions also wrote ``fault_list``, ``reply`` and ``retry_wait``;
+nothing reads them, so they load only while empty / at 15 s.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import configparser
 from typing import Optional
 
+from ..clients.httpclient import DEFAULT_REPLY_TIMEOUT, DEFAULT_RETRY_WAIT
 from ..trace import TraceLevel
 from .runner import (
     DEFAULT_CLIENT_TIMEOUT,
@@ -49,12 +50,9 @@ class DtsConfig:
     def __init__(self, workload: str = "Apache1",
                  middleware: MiddlewareKind = MiddlewareKind.NONE,
                  watchd_version: int = 3,
-                 fault_list: Optional[str] = None,
                  base_seed: int = 2000,
                  server_up_timeout: float = DEFAULT_SERVER_UP_TIMEOUT,
                  client_timeout: float = DEFAULT_CLIENT_TIMEOUT,
-                 reply_timeout: float = 15.0,
-                 retry_wait: float = 15.0,
                  cpu_mhz: int = 100,
                  jobs: int = 1,
                  store: Optional[str] = None,
@@ -62,12 +60,9 @@ class DtsConfig:
         self.workload = workload
         self.middleware = middleware
         self.watchd_version = watchd_version
-        self.fault_list = fault_list
         self.base_seed = base_seed
         self.server_up_timeout = server_up_timeout
         self.client_timeout = client_timeout
-        self.reply_timeout = reply_timeout
-        self.retry_wait = retry_wait
         self.cpu_mhz = cpu_mhz
         self.jobs = jobs
         self.store = store
@@ -99,18 +94,20 @@ class DtsConfig:
                      if parser.has_section("execution") else {})
         trace = parser["trace"] if parser.has_section("trace") else {}
         middleware = MiddlewareKind(dts.get("middleware", "none").lower())
+        if dts.get("fault_list"):
+            raise ValueError("[dts] fault_list is not supported: the "
+                             "fault list comes from the fault family")
+        _require_fixed(timeouts, "reply", DEFAULT_REPLY_TIMEOUT)
+        _require_fixed(timeouts, "retry_wait", DEFAULT_RETRY_WAIT)
         return cls(
             workload=dts.get("workload", "Apache1"),
             middleware=middleware,
             watchd_version=int(dts.get("watchd_version", 3)),
-            fault_list=dts.get("fault_list") or None,
             base_seed=int(dts.get("base_seed", 2000)),
             server_up_timeout=float(timeouts.get(
                 "server_up", DEFAULT_SERVER_UP_TIMEOUT)),
             client_timeout=float(timeouts.get(
                 "client", DEFAULT_CLIENT_TIMEOUT)),
-            reply_timeout=float(timeouts.get("reply", 15.0)),
-            retry_wait=float(timeouts.get("retry_wait", 15.0)),
             cpu_mhz=int(machine.get("cpu_mhz", 100)),
             jobs=int(execution.get("jobs", 1)),
             store=execution.get("store") or None,
@@ -128,13 +125,10 @@ class DtsConfig:
             f"workload = {self.workload}\n"
             f"middleware = {self.middleware.value}\n"
             f"watchd_version = {self.watchd_version}\n"
-            f"fault_list = {self.fault_list or ''}\n"
             f"base_seed = {self.base_seed}\n"
             "\n[timeouts]\n"
             f"server_up = {self.server_up_timeout:g}\n"
             f"client = {self.client_timeout:g}\n"
-            f"reply = {self.reply_timeout:g}\n"
-            f"retry_wait = {self.retry_wait:g}\n"
             "\n[machine]\n"
             f"cpu_mhz = {self.cpu_mhz}\n"
             "\n[execution]\n"
@@ -147,3 +141,11 @@ class DtsConfig:
     def __repr__(self) -> str:
         return (f"<DtsConfig {self.workload}/{self.middleware.value} "
                 f"v{self.watchd_version}>")
+
+
+def _require_fixed(timeouts, key: str, fixed: float) -> None:
+    """Accept ``[timeouts] key`` only unset or at the clients' value."""
+    if timeouts.get(key, f"{fixed:g}").strip() not in (f"{fixed:g}",
+                                                       f"{fixed}"):
+        raise ValueError(f"[timeouts] {key} is fixed at {fixed:g} s "
+                         f"by the clients")

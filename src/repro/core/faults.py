@@ -23,6 +23,10 @@ Unlike a parameter fault, which corrupts one invocation, both carry a
 :class:`FaultWindow`: the fault is *sustained* over a span of the
 target role's call sequence (``[start_call, end_call)``) or of sim
 time (``[start, end)`` seconds).
+
+Every spec derives from :class:`FaultBase` (store key, JSON codec,
+trace header, injector); the families are declared in
+:data:`repro.core.families.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -55,7 +59,67 @@ class FaultType(enum.Enum):
 DEFAULT_FAULT_TYPES = (FaultType.ZERO, FaultType.ONES, FaultType.FLIP)
 
 
-class FaultSpec:
+def _number_token(value) -> str:
+    """Canonical text for a window/severity number (``5``, ``0.5``)."""
+    return f"{value:g}"
+
+
+class FaultBase:
+    """What every fault spec shares, driven by its ``__slots__``: the
+    identifying fields, in constructor order.  ``family`` is the spec's
+    row of :data:`repro.core.families.FAMILIES`.
+    """
+
+    __slots__ = ()
+    family = None
+
+    @property
+    def key(self) -> tuple:
+        """Identity tuple; it also salts the run seed, so keep it stable."""
+        return tuple(_plain(getattr(self, name)) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def store_key(self) -> str:
+        """Canonical store key: ``<family>:<field>:<field>...``."""
+        return ":".join([self.family.name] + [
+            _token(getattr(self, name)) for name in self.__slots__])
+
+    def to_dict(self) -> dict:
+        return {"mechanism": self.family.mechanism,
+                **{name: _plain(getattr(self, name))
+                   for name in self.__slots__}}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FaultBase":
+        return cls(*(_decode(name, data[name]) for name in cls.__slots__))
+
+    def armed_fields(self) -> dict:
+        """The payload of the run's ``fault.armed`` trace event."""
+        fields = {"function": self.function,
+                  "mechanism": self.family.mechanism}
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if isinstance(value, FaultWindow):
+                fields.update(window_unit=value.unit,
+                              window_start=value.start,
+                              window_end=value.end)
+            elif name != "function":
+                fields[name] = _plain(value)
+        return fields
+
+    def injector(self, workload):
+        """A fresh injector arming this fault against ``workload``'s
+        target role (not yet installed on a machine)."""
+        return self.family.injector(self, workload.target_role,
+                                    workload.registry)
+
+
+class FaultSpec(FaultBase):
     """One injectable fault."""
 
     __slots__ = ("function", "param_index", "fault_type", "invocation")
@@ -70,17 +134,6 @@ class FaultSpec:
         self.param_index = param_index
         self.fault_type = fault_type
         self.invocation = invocation
-
-    @property
-    def key(self) -> tuple:
-        return (self.function, self.param_index,
-                self.fault_type.value, self.invocation)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FaultSpec) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __repr__(self) -> str:
         return (f"<Fault {self.function}[{self.param_index}] "
@@ -107,11 +160,6 @@ class FaultSpec:
 # Sustained fault windows
 # ----------------------------------------------------------------------
 WINDOW_UNITS = ("calls", "time")
-
-
-def _number_token(value) -> str:
-    """Canonical text for a window/severity number (``5``, ``0.5``)."""
-    return f"{value:g}"
 
 
 class FaultWindow:
@@ -165,6 +213,13 @@ class FaultWindow:
         return (f"{self.unit}@{_number_token(self.start)}"
                 f"-{_number_token(self.end)}")
 
+    def to_dict(self) -> dict:
+        return {"unit": self.unit, "start": self.start, "end": self.end}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FaultWindow":
+        return cls(data["unit"], data["start"], data["end"])
+
     @classmethod
     def from_token(cls, token: str) -> "FaultWindow":
         try:
@@ -205,7 +260,7 @@ IO_ERROR_CHOICES = {
 SHORT_IO_OPS = ("ReadFile", "WriteFile")
 
 
-class IoFault:
+class IoFault(FaultBase):
     """One sustained I/O-path fault.
 
     ``mode="error"``: every targeted op inside the window fails with
@@ -271,13 +326,8 @@ class IoFault:
 
     @property
     def key(self) -> tuple:
-        return ("io", self.op, self.mode, self.value) + self.window.key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IoFault) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
+        return (self.family.name, self.op, self.mode,
+                self.value) + self.window.key
 
     def __repr__(self) -> str:
         return (f"<IoFault {self.op} {self.mode}={self.value} "
@@ -290,7 +340,7 @@ class IoFault:
 RESOURCE_KINDS = ("memory", "handles", "cpu")
 
 
-class ResourceFault:
+class ResourceFault(FaultBase):
     """One sustained resource-exhaustion fault.
 
     ``resource="memory"``: a fraction ``severity`` of the target
@@ -339,14 +389,34 @@ class ResourceFault:
 
     @property
     def key(self) -> tuple:
-        return ("resource", self.resource, self.severity) + self.window.key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ResourceFault) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
+        return (self.family.name, self.resource,
+                self.severity) + self.window.key
 
     def __repr__(self) -> str:
         return (f"<ResourceFault {self.resource} x{self.severity:g} "
                 f"{self.window.to_token()}>")
+
+
+# ----------------------------------------------------------------------
+# Field codecs shared by every spec (see FaultBase)
+# ----------------------------------------------------------------------
+def _plain(value):
+    """A field's JSON value: fault types travel by name."""
+    if isinstance(value, FaultWindow):
+        return value.to_dict()
+    return value.value if isinstance(value, FaultType) else value
+
+
+def _token(value) -> str:
+    """A field's store-key token."""
+    if isinstance(value, FaultWindow):
+        return value.to_token()
+    return _number_token(value) if isinstance(value, float) \
+        else str(_plain(value))
+
+
+def _decode(name: str, value):
+    """Inverse of :func:`_plain`."""
+    if name == "fault_type":
+        return FaultType(value)
+    return FaultWindow.from_dict(value) if name == "window" else value

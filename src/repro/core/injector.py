@@ -29,56 +29,82 @@ def _registry_label(registry) -> str:
     return f"custom ({len(registry)} exports)"
 
 
-class Injector(CallHook):
-    """Arms a single :class:`FaultSpec` against one process role.
+class OneShotInjector:
+    """Bookkeeping shared by the single-invocation mechanisms.
 
-    ``registry`` defaults to the KERNEL32 export table; the Linux port
-    passes the libc table instead — the injector itself is one of the
-    components the paper's port did *not* have to rewrite.
+    The fault fires at most once per run: on the ``fault.invocation``-th
+    call of ``fault.function`` by the target role, counted across
+    process incarnations of the role, so a respawned worker does not
+    get re-injected.  ``registry`` defaults to the KERNEL32 export
+    table; the Linux port passes the libc table instead — the injector
+    itself is one of the components the paper's port did *not* have to
+    rewrite.
     """
 
-    def __init__(self, fault: FaultSpec, target_role: str, registry=None):
+    def __init__(self, fault, target_role: str, registry=None):
         registry = registry if registry is not None else REGISTRY
-        sig = registry.get(fault.function)
-        if sig is None:
+        self.sig = registry.get(fault.function)
+        if self.sig is None:
             message = (f"unknown export {fault.function!r} in the "
                        f"{_registry_label(registry)} registry")
             close = difflib.get_close_matches(fault.function, registry, n=1)
             if close:
                 message += f" (did you mean {close[0]!r}?)"
             raise ValueError(message)
-        if fault.param_index >= sig.param_count:
-            raise ValueError(
-                f"{fault.function} has {sig.param_count} parameters; "
-                f"cannot corrupt index {fault.param_index}")
         self.fault = fault
         self.target_role = target_role
         self.fired = False
         self.fired_at: Optional[float] = None
-        self.fired_pid: Optional[int] = None
+        # Activated but value-preserving (original already == corrupted).
+        self.was_noop = False
+        self._seen_invocations = 0
+
+    def _fires(self, process, sig: FunctionSig) -> bool:
+        """Count this call; True exactly when it is the one to corrupt."""
+        if self.fired or process.role != self.target_role \
+                or sig.name != self.fault.function:
+            return False
+        self._seen_invocations += 1
+        if self._seen_invocations != self.fault.invocation:
+            return False
+        self.fired = True
+        self.fired_at = process.machine.engine.now
+        return True
+
+    def finalize(self) -> None:
+        """Nothing to close: a one-shot corruption leaves no state."""
+
+    def __repr__(self) -> str:
+        state = "fired" if self.fired else "armed"
+        return (f"<{type(self).__name__} {self.fault!r} "
+                f"on {self.target_role} {state}>")
+
+
+class Injector(OneShotInjector, CallHook):
+    """Arms a single :class:`FaultSpec` against one process role."""
+
+    def __init__(self, fault: FaultSpec, target_role: str, registry=None):
+        super().__init__(fault, target_role, registry)
+        if fault.param_index >= self.sig.param_count:
+            raise ValueError(
+                f"{fault.function} has {self.sig.param_count} parameters; "
+                f"cannot corrupt index {fault.param_index}")
         self.original_raw: Optional[int] = None
         self.corrupted_raw: Optional[int] = None
-        self._seen_invocations = 0
+
+    def install(self, machine) -> None:
+        machine.interception.add_hook(self)
 
     # ------------------------------------------------------------------
     def on_call(self, process, sig: FunctionSig, invocation: int,
                 raw_args: tuple[int, ...]):
-        if self.fired or process.role != self.target_role:
+        if not self._fires(process, sig):
             return None
-        if sig.name != self.fault.function:
-            return None
-        # Count invocations across process incarnations of the role, so
-        # a respawned worker does not get re-injected: one fault per run.
-        self._seen_invocations += 1
-        if self._seen_invocations != self.fault.invocation:
-            return None
-        self.fired = True
-        self.fired_at = process.machine.engine.now
-        self.fired_pid = process.pid
         original = raw_args[self.fault.param_index]
         corrupted = self.fault.fault_type.apply(original)
         self.original_raw = original
         self.corrupted_raw = corrupted
+        self.was_noop = corrupted == original
         machine = process.machine
         tracer = machine.tracer
         if tracer is not None and tracer.outcome_enabled:
@@ -87,21 +113,12 @@ class Injector(CallHook):
                         pid=process.pid, function=sig.name,
                         invocation=invocation, param_index=self.fault.param_index,
                         original=original, corrupted=corrupted,
-                        noop=corrupted == original,
+                        noop=self.was_noop,
                         call_index=machine.interception.total_calls + 1)
-        if corrupted == original:
+        if self.was_noop:
             # e.g. zeroing a parameter that is already zero: the fault
             # is activated but is a semantic no-op, as on the real tool.
             return None
         mutated = list(raw_args)
         mutated[self.fault.param_index] = corrupted
         return tuple(mutated)
-
-    @property
-    def was_noop(self) -> bool:
-        """Activated but value-preserving (original already == corrupted)."""
-        return self.fired and self.original_raw == self.corrupted_raw
-
-    def __repr__(self) -> str:
-        state = "fired" if self.fired else "armed"
-        return f"<Injector {self.fault!r} on {self.target_role} {state}>"

@@ -19,10 +19,11 @@ from typing import Optional
 
 from ..nt.interception import ReturnHook
 from ..nt.kernel32.signatures import REGISTRY, FunctionSig
-from .faults import FaultType
+from .faults import DEFAULT_FAULT_TYPES, MASK32, FaultBase, FaultType
+from .injector import OneShotInjector
 
 
-class ReturnFaultSpec:
+class ReturnFaultSpec(FaultBase):
     """One injectable return-value fault."""
 
     __slots__ = ("function", "fault_type", "invocation")
@@ -35,53 +36,27 @@ class ReturnFaultSpec:
         self.fault_type = fault_type
         self.invocation = invocation
 
-    @property
-    def key(self) -> tuple:
-        return (self.function, self.fault_type.value, self.invocation)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ReturnFaultSpec) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(("return",) + self.key)
-
     def __repr__(self) -> str:
         return (f"<ReturnFault {self.function}() -> "
                 f"{self.fault_type.value}@{self.invocation}>")
 
 
-class ReturnInjector(ReturnHook):
+class ReturnInjector(OneShotInjector, ReturnHook):
     """Arms a single :class:`ReturnFaultSpec` against one process role.
 
     Unlike parameter corruption, *every* export is a candidate — the
     130 parameter-less functions included (they still return values).
     """
 
-    def __init__(self, fault: ReturnFaultSpec, target_role: str):
-        if fault.function not in REGISTRY:
-            raise ValueError(f"unknown export {fault.function!r}")
-        self.fault = fault
-        self.target_role = target_role
-        self.fired = False
-        self.fired_at: Optional[float] = None
-        self.original_result: Optional[int] = None
-        self.corrupted_result: Optional[int] = None
-        self._seen_invocations = 0
+    def install(self, machine) -> None:
+        machine.interception.add_return_hook(self)
 
     def on_return(self, process, sig: FunctionSig, invocation: int,
                   result: int) -> Optional[int]:
-        if self.fired or process.role != self.target_role:
+        if not self._fires(process, sig):
             return None
-        if sig.name != self.fault.function:
-            return None
-        self._seen_invocations += 1
-        if self._seen_invocations != self.fault.invocation:
-            return None
-        self.fired = True
-        self.fired_at = process.machine.engine.now
-        corrupted = self.fault.fault_type.apply(result & 0xFFFFFFFF)
-        self.original_result = result
-        self.corrupted_result = corrupted
+        corrupted = self.fault.fault_type.apply(result & MASK32)
+        self.was_noop = corrupted == (result & MASK32)
         machine = process.machine
         tracer = machine.tracer
         if tracer is not None and tracer.outcome_enabled:
@@ -89,33 +64,23 @@ class ReturnInjector(ReturnHook):
             tracer.emit(machine.engine.now, "fault", "activated",
                         pid=process.pid, function=sig.name,
                         invocation=invocation, original=result,
-                        corrupted=corrupted,
-                        noop=corrupted == (result & 0xFFFFFFFF),
+                        corrupted=corrupted, noop=self.was_noop,
                         call_index=machine.interception.total_calls)
-        if corrupted == (result & 0xFFFFFFFF):
+        if self.was_noop:
             return None  # value-preserving: activated but a no-op
         return corrupted
 
-    @property
-    def was_noop(self) -> bool:
-        return self.fired and \
-            self.original_result is not None and \
-            (self.original_result & 0xFFFFFFFF) == self.corrupted_result
-
-    def __repr__(self) -> str:
-        state = "fired" if self.fired else "armed"
-        return f"<ReturnInjector {self.fault!r} on {self.target_role} {state}>"
-
 
 def generate_return_fault_list(functions=None, fault_types=None,
-                               invocations=(1,)) -> list[ReturnFaultSpec]:
+                               invocations=(1,),
+                               registry=None) -> list[ReturnFaultSpec]:
     """Enumerate the return-value fault space (one fault per function ×
-    type × invocation — parameters are irrelevant here)."""
-    from .faults import DEFAULT_FAULT_TYPES
-
-    names = list(functions) if functions is not None else list(REGISTRY)
+    type × invocation — parameters are irrelevant here).  ``registry``
+    defaults to the KERNEL32 export table."""
+    table = registry if registry is not None else REGISTRY
+    names = list(functions) if functions is not None else list(table)
     for name in names:
-        if name not in REGISTRY:
+        if name not in table:
             raise KeyError(name)
     fault_types = tuple(fault_types or DEFAULT_FAULT_TYPES)
     return [

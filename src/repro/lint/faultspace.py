@@ -34,11 +34,8 @@ _FAULT_TYPE_NAMES = {fault_type.name for fault_type in FaultType}
 
 # Sustained-fault literals the rule validates by construction: the spec
 # type plus its positional parameter names.
-_FAMILY_SPECS = {
-    "IoFault": (IoFault, ("op", "mode", "value", "window")),
-    "ResourceFault": (ResourceFault, ("resource", "severity", "window")),
-    "FaultWindow": (FaultWindow, ("unit", "start", "end")),
-}
+_FAMILY_SPECS = {spec.__name__: (spec, spec.__slots__)
+                 for spec in (IoFault, ResourceFault, FaultWindow)}
 
 
 def _validate_fault(path: str, line: int, function: str,

@@ -17,8 +17,6 @@ from ..clients.record import ClientRecord
 from ..core.store import (
     client_record_from_dict,
     client_record_to_dict,
-    fault_from_dict,
-    fault_to_dict,
     register_result_codec,
 )
 from ..trace import TraceLevel
@@ -193,8 +191,6 @@ __all__ = [
     "ArrivalMode",
     "ClientStats",
     "LoadRunResult",
-    "fault_from_dict",
-    "fault_to_dict",
     "load_result_from_dict",
     "load_result_to_dict",
 ]

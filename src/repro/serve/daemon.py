@@ -43,6 +43,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from ..core.families import split_functions
 from .jobs import JobQueue
 from .spec import CampaignJobSpec, SpecError, spec_from_dict
 
@@ -50,14 +51,21 @@ MAX_SPEC_BYTES = 1 << 20  # a campaign spec has no business being 1 MiB
 
 
 def _validate_registered(spec) -> None:
-    """Bounce unknown workloads at submission time, not execution."""
+    """Bounce unknown workloads, and campaign ``functions`` off the
+    family's axis, at submission time, not execution."""
     from ..core.workload import WORKLOADS
 
-    workload = (spec.workload if isinstance(spec, CampaignJobSpec)
-                else spec.load.workload)
+    campaign = isinstance(spec, CampaignJobSpec)
+    workload = spec.workload if campaign else spec.load.workload
     if workload not in WORKLOADS:
         raise SpecError(f"unknown workload {workload!r} "
                         f"(known: {', '.join(sorted(WORKLOADS))})")
+    if campaign:
+        try:
+            split_functions((spec.mechanism,), spec.functions,
+                            WORKLOADS[workload])
+        except ValueError as exc:
+            raise SpecError(f"functions: {exc}") from None
 
 
 class ServeHandler(BaseHTTPRequestHandler):

@@ -11,6 +11,14 @@ A submission is a JSON object whose ``kind`` selects the spec flavour:
          "functions": ["CreateFileA", "ReadFile"],
          "base_seed": 2000, "trace_level": "off"}
 
+    ``mechanism`` is a row of :data:`repro.core.families.FAMILIES`,
+    by mechanism or short name (``"param"``).  ``functions`` restricts
+    the campaign to names on that family's axis — the workload's
+    exports for parameter and return faults, the io ops for ``io``,
+    the resource kinds for ``resource`` — exactly as ``repro run
+    --functions`` does; a name off the axis bounces with HTTP 400 at
+    submission.
+
 ``{"kind": "load", ...}``
     One multi-client load grid — a :class:`~repro.load.spec.LoadSpec`
     plus the repetition/sweep axes ``repro load`` adds::
@@ -27,15 +35,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..core.families import get_family
 from ..core.runner import RunConfig
 from ..core.store import config_fingerprint
 from ..core.workload import MiddlewareKind
 from ..trace import TRACE_LEVEL_NAMES as TRACE_LEVELS
-
-# Campaign mechanisms, plus the CLI's --fault-family aliases.
-MECHANISMS = ("parameter", "return", "io", "resource")
-_MECHANISM_ALIASES = {"param": "parameter"}
-
 
 class SpecError(ValueError):
     """A submitted spec that cannot be accepted (HTTP 400)."""
@@ -58,12 +62,12 @@ class CampaignJobSpec:
                  functions: Optional[Sequence[str]] = None,
                  base_seed: int = 2000,
                  trace_level: str = "off"):
-        mechanism = _MECHANISM_ALIASES.get(mechanism, mechanism)
         _require(isinstance(workload, str) and bool(workload),
                  "workload must be a non-empty string")
-        _require(mechanism in MECHANISMS,
-                 f"unknown mechanism {mechanism!r} "
-                 f"(want one of {', '.join(MECHANISMS)})")
+        try:
+            mechanism = get_family(mechanism).mechanism
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
         _require(watchd_version in (1, 2, 3),
                  f"watchd_version must be 1, 2 or 3, got {watchd_version}")
         _require(trace_level in TRACE_LEVELS,

@@ -223,8 +223,8 @@ class TestRunFaultFamilies:
         assert "failure" in text
 
     def test_all_families_render_a_comparison(self, tmp_path):
-        # --functions restricts only the parameter axis; io/resource
-        # enumerate their own default spaces.
+        # Both names are exports, so they restrict the param family;
+        # io and resource get none of them and run their full spaces.
         code, text = _run(["run", "--config", self._config_path(tmp_path),
                            "--functions", "SetErrorMode,GetACP",
                            "--fault-family", "all"])
@@ -243,6 +243,34 @@ class TestRunFaultFamilies:
         code, second = _run(argv + ["--resume"])
         assert code == 0
         assert "0 executed" in second
+
+    @pytest.mark.parametrize("family, functions", [
+        ("io", "GetACP"),            # an export, but not an io op
+        ("param", "NoSuchExport"),   # on no family's axis at all
+    ])
+    def test_functions_off_the_family_axis_exit_two(self, tmp_path,
+                                                     family, functions):
+        code, text = _run(["run", "--config", self._config_path(tmp_path),
+                           "--fault-family", family,
+                           "--functions", functions])
+        assert code == 2
+        assert f"not on any selected family's axis: {functions}" in text
+
+    def test_functions_restrict_the_io_axis(self, tmp_path):
+        code, text = _run(["run", "--config", self._config_path(tmp_path),
+                           "--fault-family", "io",
+                           "--functions", "net.connect"])
+        assert code == 0
+        # net.connect over the two default windows: 2 errors + 2 delays.
+        assert "4/4" in text
+
+    def test_bad_config_key_exits_two(self, tmp_path):
+        path = tmp_path / "dts.ini"
+        path.write_text("[dts]\nworkload = IIS\n"
+                        "[timeouts]\nreply = 30\n")
+        code, text = _run(["run", "--config", str(path)])
+        assert code == 2
+        assert "reply" in text
 
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -11,21 +11,18 @@ def test_defaults():
     assert config.workload == "Apache1"
     assert config.middleware is MiddlewareKind.NONE
     assert config.watchd_version == 3
-    assert config.reply_timeout == 15.0   # the paper's default
-    assert config.retry_wait == 15.0
     assert config.cpu_mhz == 100          # the paper's primary testbed
 
 
 def test_text_roundtrip():
     original = DtsConfig(workload="SQL", middleware=MiddlewareKind.WATCHD,
-                         watchd_version=2, fault_list="f.lst",
+                         watchd_version=2,
                          base_seed=7, server_up_timeout=50.0,
                          client_timeout=120.0, cpu_mhz=400)
     parsed = DtsConfig.from_text(original.to_text())
     assert parsed.workload == "SQL"
     assert parsed.middleware is MiddlewareKind.WATCHD
     assert parsed.watchd_version == 2
-    assert parsed.fault_list == "f.lst"
     assert parsed.base_seed == 7
     assert parsed.server_up_timeout == 50.0
     assert parsed.client_timeout == 120.0
@@ -87,3 +84,37 @@ def test_empty_store_value_means_none():
 def test_bad_middleware_rejected():
     with pytest.raises(ValueError):
         DtsConfig.from_text("[dts]\nmiddleware = chaosmonkey\n")
+
+
+# What an earlier to_text wrote: the fault_list / reply / retry_wait
+# keys nothing reads any more.
+_OLD_TEXT = """[dts]
+workload = SQL
+middleware = watchd
+watchd_version = 2
+fault_list = 
+base_seed = 7
+
+[timeouts]
+server_up = 50
+client = 120
+reply = 15
+retry_wait = 15
+"""
+
+
+def test_files_with_the_dropped_keys_at_their_old_defaults_load():
+    config = DtsConfig.from_text(_OLD_TEXT)
+    assert config.workload == "SQL"
+    assert config.base_seed == 7
+    assert config.server_up_timeout == 50.0
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("fault_list = ", "fault_list = faults.lst", "fault_list"),
+    ("reply = 15", "reply = 30", "reply"),
+    ("retry_wait = 15", "retry_wait = soon", "retry_wait"),
+])
+def test_dropped_keys_rejected_unless_inert(old, new, key):
+    with pytest.raises(ValueError, match=key):
+        DtsConfig.from_text(_OLD_TEXT.replace(old, new))

@@ -1,17 +1,20 @@
-"""Property suite for the sustained-fault codecs.
+"""Property suite for the fault-family table and its codecs.
 
 The run store is append-only and shared across campaigns, so every
 spec type must survive the JSON round trip bit-for-bit and map to a
 unique, stable store key.  Hypothesis drives the whole constructible
-space — not just the default fault lists — because resumed campaigns
-may read back faults written by a future (or past) enumeration.
+space of every row of ``FAMILIES`` — not just the default fault lists —
+because resumed campaigns may read back faults written by a future (or
+past) enumeration.
 """
 
 import json
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.families import FAMILIES
 from repro.core.faults import (
     IO_ERROR_CHOICES,
     NET_IO_OPS,
@@ -23,14 +26,16 @@ from repro.core.faults import (
     IoFault,
     ResourceFault,
 )
-from repro.core.runner import RunConfig
+from repro.core.return_injector import ReturnFaultSpec
+from repro.core.runner import RunConfig, execute_run
 from repro.core.store import (
     config_fingerprint,
     fault_from_dict,
     fault_key_str,
     fault_to_dict,
 )
-from repro.core.workload import MiddlewareKind
+from repro.core.workload import MiddlewareKind, get_workload
+from repro.nt.machine import Machine
 
 # ----------------------------------------------------------------------
 # Strategies over the constructible spec space
@@ -88,7 +93,16 @@ param_faults = st.builds(
     fault_type=st.sampled_from(list(FaultType)),
     invocation=st.integers(min_value=1, max_value=5),
 )
-any_fault = st.one_of(io_faults, resource_faults, param_faults)
+return_faults = st.builds(
+    ReturnFaultSpec,
+    function=st.sampled_from(("GetACP", "ReadFile", "SetEvent")),
+    fault_type=st.sampled_from(list(FaultType)),
+    invocation=st.integers(min_value=1, max_value=5),
+)
+# One strategy per row of the family table.
+FAMILY_FAULTS = {"parameter": param_faults, "return": return_faults,
+                 "io": io_faults, "resource": resource_faults}
+any_fault = st.one_of(*(FAMILY_FAULTS[mechanism] for mechanism in FAMILIES))
 
 
 def _json_round_trip(fault):
@@ -120,6 +134,20 @@ def test_resource_round_trip_preserves_every_field(fault):
     assert (restored.resource, restored.severity) \
         == (fault.resource, fault.severity)
     assert restored.window == fault.window
+
+
+def test_every_family_has_a_strategy():
+    assert list(FAMILY_FAULTS) == list(FAMILIES)
+
+
+@given(any_fault)
+def test_spec_store_key_and_dict_agree_with_the_table(fault):
+    family = FAMILIES[fault_to_dict(fault)["mechanism"]]
+    assert family is fault.family
+    assert type(fault) is family.spec
+    assert fault_key_str(fault) == fault.store_key()
+    assert fault.store_key().split(":", 1)[0] == family.name
+    assert family.spec.from_dict(fault.to_dict()) == fault
 
 
 def test_none_fault_round_trips():
@@ -157,6 +185,79 @@ def test_store_keys_are_human_auditable():
     assert fault_key_str(fault) == "io:ReadFile:error:EIO:calls@1-100"
     fault = ResourceFault("cpu", 8.0, FaultWindow("time", 5.0, 60.0))
     assert fault_key_str(fault) == "resource:cpu:8:time@5-60"
+
+
+# ----------------------------------------------------------------------
+# Trace header and injectors
+# ----------------------------------------------------------------------
+# One fault per family with the store key, dict and ``fault.armed``
+# payload (key order included) the per-family code paths produced
+# before the family table replaced them.
+PINNED = [
+    (FaultSpec("CreateFileA", 1, FaultType.FLIP, 2),
+     "param:CreateFileA:1:flip:2",
+     [("mechanism", "parameter"), ("function", "CreateFileA"),
+      ("param_index", 1), ("fault_type", "flip"), ("invocation", 2)],
+     [("function", "CreateFileA"), ("mechanism", "parameter"),
+      ("param_index", 1), ("fault_type", "flip"), ("invocation", 2)]),
+    (ReturnFaultSpec("GetACP", FaultType.ONES, 1),
+     "return:GetACP:ones:1",
+     [("mechanism", "return"), ("function", "GetACP"),
+      ("fault_type", "ones"), ("invocation", 1)],
+     [("function", "GetACP"), ("mechanism", "return"),
+      ("fault_type", "ones"), ("invocation", 1)]),
+    (IoFault("ReadFile", "short", 0.5, FaultWindow("calls", 3, 40)),
+     "io:ReadFile:short:0.5:calls@3-40",
+     [("mechanism", "io"), ("op", "ReadFile"), ("mode", "short"),
+      ("value", 0.5), ("window", {"unit": "calls", "start": 3, "end": 40})],
+     [("function", "ReadFile"), ("mechanism", "io"), ("op", "ReadFile"),
+      ("mode", "short"), ("value", 0.5), ("window_unit", "calls"),
+      ("window_start", 3), ("window_end", 40)]),
+    (ResourceFault("cpu", 3.0, FaultWindow("time", 5.0, 60.0)),
+     "resource:cpu:3:time@5-60",
+     [("mechanism", "resource"), ("resource", "cpu"), ("severity", 3.0),
+      ("window", {"unit": "time", "start": 5.0, "end": 60.0})],
+     [("function", "resource:cpu"), ("mechanism", "resource"),
+      ("resource", "cpu"), ("severity", 3.0), ("window_unit", "time"),
+      ("window_start", 5.0), ("window_end", 60.0)]),
+]
+
+
+def test_pinned_examples_cover_every_family():
+    assert [fault.family.mechanism for fault, *_ in PINNED] == \
+        list(FAMILIES)
+
+
+@pytest.mark.parametrize("fault, key, data, armed", PINNED)
+def test_codec_and_trace_header_are_unchanged(fault, key, data, armed):
+    assert fault.store_key() == key
+    assert list(fault.to_dict().items()) == data
+    assert list(fault.armed_fields().items()) == armed
+
+
+@pytest.mark.parametrize("fault", [fault for fault, *_ in PINNED])
+def test_armed_fields_are_the_traced_armed_event(fault):
+    run = execute_run(get_workload("IIS"), MiddlewareKind.NONE, fault,
+                      RunConfig(trace_level="outcome"))
+    armed = [event for event in run.trace
+             if (event.category, event.name) == ("fault", "armed")]
+    assert len(armed) == 1
+    assert list(armed[0].data.items()) == \
+        list(fault.armed_fields().items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(any_fault)
+def test_injector_installs_and_finalizes_on_a_fresh_machine(fault):
+    machine = Machine(seed=7)
+    injector = fault.injector(get_workload("IIS"))
+    assert type(injector) is fault.family.injector
+    injector.install(machine)
+    machine.run(until=1.0)
+    injector.finalize()
+    assert injector.fault is fault
+    assert injector.fired is False
+    assert injector.was_noop is False
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,11 @@ def test_cancel_over_http(server):
     ("GET", "/nope", None, 404, "endpoint"),
     ("DELETE", "/campaigns", None, 404, "endpoint"),
     ("DELETE", "/campaigns/job-9", None, 404, "no such job"),
+    ("POST", "/campaigns", {"workload": "IIS", "mechanism": "io",
+                            "functions": ["GetACP"]}, 400, "GetACP"),
+    ("POST", "/campaigns", {"workload": "IIS",
+                            "functions": ["NoSuchExport"]}, 400,
+     "NoSuchExport"),
 ])
 def test_http_error_paths(server, method, path, body, code, fragment):
     with pytest.raises(urllib.error.HTTPError) as excinfo:

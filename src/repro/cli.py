@@ -303,6 +303,27 @@ class CliProgress:
             print(file=self.out)
 
 
+def _jobs_error(jobs: int, out) -> Optional[int]:
+    """The one ``--jobs`` rule for every command: N < 1 exits 2."""
+    if jobs < 1:
+        print("--jobs must be >= 1", file=out)
+        return 2
+    return None
+
+
+def _pool_backend(jobs: Optional[int], out, default: int = 1):
+    """``(backend, error_code)`` for ``--jobs N`` (``default`` when not
+    given): a process pool when N > 1, None (serial) for 1, error 2
+    below that."""
+    from .core.exec import ProcessPoolBackend
+
+    jobs = default if jobs is None else jobs
+    error = _jobs_error(jobs, out)
+    if error is not None:
+        return None, error
+    return (ProcessPoolBackend(jobs) if jobs > 1 else None), None
+
+
 def _open_store(path: Optional[str], resume: bool, out,
                 durable: bool = False):
     """Build the run store for a command, enforcing resume semantics.
@@ -395,7 +416,9 @@ def cmd_run(args, out) -> int:
     except ValueError as exc:
         print(f"--functions: {exc}", file=out)
         return 2
-    jobs = args.jobs if args.jobs is not None else config.jobs
+    backend, error = _pool_backend(args.jobs, out, default=config.jobs)
+    if error is not None:
+        return error
     store, error = _open_store(args.store or config.store, args.resume, out)
     if error is not None:
         return error
@@ -424,11 +447,12 @@ def cmd_run(args, out) -> int:
             campaign = Campaign(
                 config.workload, config.middleware,
                 functions=functions[family.mechanism],
-                config=config.run_config(),
-                jobs=jobs if jobs > 1 else None, store=store,
+                config=config.run_config(), backend=backend, store=store,
                 progress=progress, mechanism=family.mechanism, prune=prune)
             results[family.name] = campaign.run()
     finally:
+        if backend is not None:
+            backend.close()
         progress.finish()
         if store is not None:
             store.close()
@@ -458,8 +482,9 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_reproduce(args, out) -> int:
-    from .core.exec import ProcessPoolBackend
-
+    backend, error = _pool_backend(args.jobs, out)
+    if error is not None:
+        return error
     # The reproduce store is a cross-figure cache: an existing file is
     # reused by design, so Figure 3 re-executes nothing after Figure 2.
     store = None
@@ -467,8 +492,6 @@ def cmd_reproduce(args, out) -> int:
         store, error = _open_store(args.store, resume=True, out=out)
         if error is not None:
             return error
-    backend = (ProcessPoolBackend(args.jobs)
-               if args.jobs is not None and args.jobs > 1 else None)
     suite = ExperimentSuite(
         base_seed=2000,
         log=lambda message: print(f"  {message}", file=out, flush=True),
@@ -627,7 +650,6 @@ def _parse_load_fault(line: str, out):
 
 def cmd_load(args, out) -> int:
     from .analysis.loadscale import aggregate_load_runs, render_load_scale
-    from .core.exec import ProcessPoolBackend
     from .load import LoadSpec, plan_load_tasks, run_load_tasks
 
     workload_name = _resolve_load_workload(args.workload, out)
@@ -667,9 +689,9 @@ def cmd_load(args, out) -> int:
 
     config = RunConfig(base_seed=args.seed,
                        watchd_version=watchd_version)
-    jobs = args.jobs if args.jobs is not None else 1
-    # Not `jobs > 1`: the pool's own check rejects jobs < 1.
-    backend = ProcessPoolBackend(jobs) if jobs != 1 else None
+    backend, error = _pool_backend(args.jobs, out)
+    if error is not None:
+        return error
     store, error = _open_store(args.store, args.resume, out)
     if error is not None:
         return error
@@ -700,9 +722,9 @@ def cmd_load(args, out) -> int:
 def cmd_serve(args, out) -> int:
     from .serve import serve_forever
 
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=out)
-        return 2
+    error = _jobs_error(args.jobs, out)
+    if error is not None:
+        return error
     return serve_forever(args.store, host=args.host, port=args.port,
                          jobs=args.jobs, segments=args.segments,
                          durable=not args.no_durable,
@@ -736,9 +758,9 @@ def cmd_lint(args, out) -> int:
               "exclusive (the former rewrites the active baseline file)",
               file=out)
         return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=out)
-        return 2
+    error = _jobs_error(args.jobs, out)
+    if error is not None:
+        return error
     if args.census_store and not args.census_diff:
         print("--census-store requires --census-diff", file=out)
         return 2

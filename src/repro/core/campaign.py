@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .collector import RunResult
-from .exec import ExecutionBackend, ProcessPoolBackend, SerialBackend, run_plan
+from .exec import ExecutionBackend, run_plan
 from .families import FAMILIES
 from .faults import DEFAULT_FAULT_TYPES, FaultType
 from .outcomes import Outcome
@@ -103,10 +103,9 @@ class Campaign:
     """Runs one workload set.
 
     ``backend`` selects the execution strategy (default
-    :class:`~repro.core.exec.SerialBackend`); ``jobs`` is a shorthand
-    that builds a :class:`~repro.core.exec.ProcessPoolBackend` owned by
-    this campaign.  ``store`` checkpoints completed runs for resume and
-    cross-campaign caching.
+    :class:`~repro.core.exec.SerialBackend`; the caller owns and closes
+    a pool it passes).  ``store`` checkpoints completed runs for resume
+    and cross-campaign caching.
     """
 
     def __init__(self, workload: WorkloadSpec | str,
@@ -119,14 +118,11 @@ class Campaign:
                  progress: Optional[ProgressCallback] = None,
                  mechanism: str = "parameter",
                  backend: Optional[ExecutionBackend] = None,
-                 jobs: Optional[int] = None,
                  store=None,
                  prune=None,
                  on_stage=None):
         if mechanism not in FAMILIES:
             raise ValueError(f"unknown injection mechanism {mechanism!r}")
-        if backend is not None and jobs is not None:
-            raise ValueError("pass either backend or jobs, not both")
         self.workload = (get_workload(workload)
                          if isinstance(workload, str) else workload)
         self.middleware = middleware
@@ -138,7 +134,6 @@ class Campaign:
         self.progress = progress
         self.mechanism = mechanism
         self.backend = backend
-        self.jobs = jobs
         self.store = store
         # An EquivalenceManifest (repro.lint.valueflow): statically
         # equivalent faults are scheduled once and expanded afterwards.
@@ -170,21 +165,10 @@ class Campaign:
     def run(self) -> WorkloadSetResult:
         result = WorkloadSetResult(self.workload.name, self.middleware,
                                    self.config.watchd_version)
-        backend = self.backend
-        owns_backend = backend is None
-        if backend is None:
-            backend = (ProcessPoolBackend(self.jobs)
-                       if self.jobs is not None and self.jobs > 1
-                       else SerialBackend())
-        try:
-            execution = run_plan(
-                self.plan(), self.workload, self.middleware, self.config,
-                backend=backend, store=self.store, progress=self.progress,
-                fingerprint=self.fingerprint() if self.store else None,
-                mechanism=self.mechanism, on_stage=self.on_stage)
-        finally:
-            if owns_backend:
-                backend.close()
+        execution = run_plan(
+            self.plan(), self.workload, self.middleware, self.config,
+            self.fingerprint(), backend=self.backend, store=self.store,
+            progress=self.progress, on_stage=self.on_stage)
 
         result.profile_run = execution.profile_run
         result.runs = execution.runs
@@ -205,12 +189,11 @@ def run_workload_set(workload_name: str, middleware: MiddlewareKind,
                      functions: Optional[Sequence[str]] = None,
                      progress: Optional[ProgressCallback] = None,
                      backend: Optional[ExecutionBackend] = None,
-                     jobs: Optional[int] = None,
                      store=None) -> WorkloadSetResult:
     """Convenience wrapper: one workload set with defaults."""
     campaign = Campaign(workload_name, middleware, functions=functions,
                         config=config, progress=progress, backend=backend,
-                        jobs=jobs, store=store)
+                        store=store)
     return campaign.run()
 
 

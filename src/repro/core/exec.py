@@ -27,7 +27,6 @@ from typing import Any, Callable, Optional, Sequence
 from .collector import RunResult, infer_result
 from .plan import CampaignPlan, RunTask, TaskKind
 from .runner import RunConfig, execute_run
-from .store import config_fingerprint
 from .workload import MiddlewareKind, WorkloadSpec, get_workload
 
 OnResult = Callable[[Any, Any], None]
@@ -240,6 +239,40 @@ class SafeProgress:
 
 
 # ----------------------------------------------------------------------
+# Serve from the store, or run and checkpoint
+# ----------------------------------------------------------------------
+def serve_or_run(items: Sequence, store,
+                 locate: Callable[[Any], tuple[str, Any]],
+                 execute: Callable[[list, OnResult], Any], execution,
+                 keep: OnResult) -> None:
+    """Serve each item's run from ``store`` or execute it; hand it to
+    ``keep(item, run)``.  Campaign waves and load grids share this loop.
+
+    ``locate(item)`` is the item's ``(fingerprint, key)``.  Stored runs
+    are served first, in item order; the rest go to one
+    ``execute(pending, record)`` backend call, and each run it completes
+    is checkpointed before ``keep`` sees it, so an interrupt never loses
+    a finished run.  ``execution`` counts both kinds.
+    """
+    pending = []
+    for item in items:
+        cached = store.get(*locate(item)) if store is not None else None
+        if cached is None:
+            pending.append(item)
+        else:
+            execution.cached_count += 1
+            keep(item, cached)
+
+    def record(item, run) -> None:
+        if store is not None:
+            store.put(*locate(item), run)
+        execution.executed_count += 1
+        keep(item, run)
+
+    execute(pending, record)
+
+
+# ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
 class PlanExecution:
@@ -261,56 +294,39 @@ class PlanExecution:
 
 def run_plan(plan: CampaignPlan, workload: WorkloadSpec,
              middleware: MiddlewareKind, config: RunConfig,
+             fingerprint: str,
              backend: Optional[ExecutionBackend] = None,
              store=None, progress=None,
-             fingerprint: Optional[str] = None,
-             mechanism: str = "parameter",
              on_stage=None) -> PlanExecution:
     """Execute a campaign plan wave by wave.
 
-    Completed runs are checkpointed to ``store`` (when given) before
-    the progress callback fires, so an interrupt never loses a finished
-    run; runs already present in the store are served from it and not
-    re-executed.
+    Completed runs are checkpointed to ``store`` (when given) under
+    ``fingerprint`` before the progress callback fires, so an interrupt
+    never loses a finished run; runs already present in the store are
+    served from it and not re-executed.
 
     ``on_stage`` (when given) is called with ``"profiling"``,
     ``"probing"`` and ``"releasing"`` as the corresponding wave starts
     — the serve daemon's job state machine rides on it.
     """
     backend = backend or SerialBackend()
-    if store is not None and fingerprint is None:
-        fingerprint = config_fingerprint(workload.name, middleware, config,
-                                         mechanism)
     execution = PlanExecution()
     safe_progress = SafeProgress(progress)
     results: dict[str, RunResult] = {}
     state = {"done": 0}
 
     def dispatch(tasks: Sequence[RunTask], count: bool) -> None:
-        pending = []
-        for task in tasks:
-            cached = (store.get(fingerprint, task.fault)
-                      if store is not None else None)
-            if cached is not None:
-                results[task.task_id] = cached
-                execution.cached_count += 1
-                if count:
-                    state["done"] += 1
-                    safe_progress(state["done"], execution.total, cached)
-            else:
-                pending.append(task)
-
-        def record(task: RunTask, run: RunResult) -> None:
-            if store is not None:
-                store.put(fingerprint, task.fault, run)
+        def keep(task: RunTask, run: RunResult) -> None:
             results[task.task_id] = run
-            execution.executed_count += 1
             if count:
                 state["done"] += 1
                 safe_progress(state["done"], execution.total, run)
 
-        backend.run_tasks(pending, workload, middleware, config,
-                          on_result=record)
+        serve_or_run(
+            tasks, store, lambda task: (fingerprint, task.fault),
+            lambda pending, record: backend.run_tasks(
+                pending, workload, middleware, config, on_result=record),
+            execution, keep)
 
     # --- Wave 0: the fault-free profiling run --------------------------
     eligible = list(plan.functions)

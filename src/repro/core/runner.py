@@ -9,11 +9,17 @@ is armed against the workload's target role; the server is brought up
 (directly or through middleware); the client runs to completion; the
 workload is terminated gracefully (the DTS shutdown event) and then
 reaped; and everything the data collector needs is gathered.
+
+The lifecycle is three phase functions around a caller's client phase
+and its collect: :func:`boot` before the client, :func:`terminate`
+after it, :func:`release` once the result is gathered.
+:func:`execute_run` runs one synthetic client; a load run
+(:func:`repro.load.execute_load_run`) runs a client population.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..nt.machine import Machine
 from ..sim import derive_seed
@@ -60,11 +66,7 @@ class RunConfig:
 
 
 def arm_fault(machine: Machine, workload: WorkloadSpec, fault):
-    """Attach the injector for ``fault`` to a machine (None: no fault).
-
-    Shared between single-client injection runs and multi-client load
-    runs, which arm faults against the same target roles.
-    """
+    """Attach the injector for ``fault`` to a machine (None: no fault)."""
     if fault is None:
         return None
     injector = fault.injector(workload)
@@ -72,16 +74,29 @@ def arm_fault(machine: Machine, workload: WorkloadSpec, fault):
     return injector
 
 
-def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
-                fault: Optional[FaultSpec],
-                config: Optional[RunConfig] = None) -> RunResult:
-    """Run one fault injection (or a fault-free profiling run when
-    ``fault`` is None) and return the collected result."""
-    config = config or RunConfig()
+class BootedRun:
+    """A run between :func:`boot` and :func:`release`."""
+
+    __slots__ = ("machine", "injector", "middleware_program",
+                 "server_came_up")
+
+    def __init__(self, machine: Machine, injector, middleware_program,
+                 server_came_up: bool):
+        self.machine = machine
+        self.injector = injector
+        self.middleware_program = middleware_program
+        self.server_came_up = server_came_up
+
+
+def boot(workload: WorkloadSpec, middleware: MiddlewareKind, fault,
+         seed: int, config: RunConfig) -> BootedRun:
+    """Fig. 1 up to "wait for server to be up": a fresh machine, the
+    trace header, the workload prepared, the fault armed, the server
+    started (directly or under middleware) and polled until it
+    listens or ``config.server_up_timeout`` passes."""
     level = TraceLevel.parse(config.trace_level)
     tracer = Tracer(level) if level is not TraceLevel.OFF else None
-    machine = Machine(seed=config.seed_for(workload, middleware, fault),
-                      cpu_mhz=config.cpu_mhz,
+    machine = Machine(seed=seed, cpu_mhz=config.cpu_mhz,
                       scm_lock_enabled=config.scm_lock_enabled,
                       tracer=tracer)
     if tracer is not None:
@@ -97,10 +112,63 @@ def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
     middleware_program = workload.deploy_middleware(
         machine, middleware, watchd_version=config.watchd_version)
 
-    server_came_up = _wait_for_server(machine, workload,
-                                      config.server_up_timeout)
+    deadline = config.server_up_timeout
+    listening = machine.transport.is_listening
+    while machine.now < deadline and not listening(workload.port):
+        machine.run(until=min(machine.now + _POLL_STEP, deadline))
+    server_came_up = listening(workload.port)
     if tracer is not None:
         tracer.emit(machine.now, "run", "server-up", came_up=server_came_up)
+    return BootedRun(machine, injector, middleware_program, server_came_up)
+
+
+def terminate(run: BootedRun, cut_off: Sequence = ()) -> None:
+    """Fig. 1's "workload termination", before the caller gathers its
+    result: stop the middleware, cut off the caller's clients still
+    running (``cut_off``), signal the DTS shutdown event."""
+    machine = run.machine
+    # The middleware stops first, so it does not take the shutdown for
+    # a failure; clients still running at the caller's horizon are cut
+    # off, not leakers.
+    for role in ("mscs", "watchd"):
+        for process in machine.processes.processes_with_role(role):
+            if process.alive:
+                process.terminate(exit_code=0)
+    for process in cut_off:
+        if process.alive:
+            process.terminate(exit_code=1)
+    _graceful_shutdown(machine)
+    # A sustained-fault window still open is closed here, so its
+    # activation trace event always has a deactivation pair.
+    if run.injector is not None:
+        run.injector.finalize()
+
+
+def release(run: BootedRun, result):
+    """After the caller gathered ``result``: attach the trace, assert
+    connection hygiene and free the machine."""
+    tracer = run.machine.tracer
+    if tracer is not None:
+        result.trace = tuple(tracer.events)
+        result.trace_level = tracer.level
+    # A client that finished on its own while leaving connections open
+    # is a harness bug (the HttpClient retry-path leak), not an
+    # injection outcome — fail the run loudly.
+    run.machine.check_connection_hygiene()
+    run.machine.shutdown()
+    return result
+
+
+def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
+                fault: Optional[FaultSpec],
+                config: Optional[RunConfig] = None) -> RunResult:
+    """Run one fault injection (or a fault-free profiling run when
+    ``fault`` is None) and return the collected result."""
+    config = config or RunConfig()
+    run = boot(workload, middleware, fault,
+               config.seed_for(workload, middleware, fault), config)
+    machine = run.machine
+    tracer = machine.tracer
 
     # --- Run the client -------------------------------------------------
     client = workload.make_client()
@@ -114,22 +182,16 @@ def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
         tracer.emit(machine.now, "run", "client-end",
                     completed=not client_process.alive)
 
-    # --- Workload termination -------------------------------------------
-    _stop_monitoring(machine)
-    _graceful_shutdown(machine)
-    # A sustained-fault window still open at teardown is closed here so
-    # its activation trace event always has a deactivation pair.
-    if injector is not None:
-        injector.finalize()
+    terminate(run)
     result = collect(
         machine=machine,
         workload=workload,
         middleware=middleware,
         fault=fault,
-        injector=injector,
+        injector=run.injector,
         client=client,
-        middleware_program=middleware_program,
-        server_came_up=server_came_up,
+        middleware_program=run.middleware_program,
+        server_came_up=run.server_came_up,
         watchd_version=config.watchd_version,
     )
     if tracer is not None:
@@ -138,33 +200,7 @@ def execute_run(workload: WorkloadSpec, middleware: MiddlewareKind,
                     failure_mode=result.failure_mode.value,
                     restarts=result.restarts_detected,
                     activated=result.activated)
-        result.trace = tuple(tracer.events)
-        result.trace_level = level
-    # A client that finished on its own while leaving connections open
-    # is a harness bug (the HttpClient retry-path leak), not an
-    # injection outcome — fail the run loudly.
-    machine.check_connection_hygiene()
-    machine.shutdown()
-    return result
-
-
-def _wait_for_server(machine: Machine, workload: WorkloadSpec,
-                     deadline: float) -> bool:
-    """Advance the machine until the workload's port is listening or
-    the clock reaches ``deadline``; True when the server came up."""
-    while machine.now < deadline and \
-            not machine.transport.is_listening(workload.port):
-        machine.run(until=min(machine.now + _POLL_STEP, deadline))
-    return machine.transport.is_listening(workload.port)
-
-
-def _stop_monitoring(machine: Machine) -> None:
-    """Stop the middleware first (as DTS tears the workload down), so
-    it does not misinterpret the shutdown as a failure."""
-    for role in ("mscs", "watchd"):
-        for process in machine.processes.processes_with_role(role):
-            if process.alive:
-                process.terminate(exit_code=0)
+    return release(run, result)
 
 
 def _graceful_shutdown(machine: Machine) -> None:

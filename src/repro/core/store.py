@@ -188,6 +188,24 @@ def deserialize_result(data: dict):
 # ----------------------------------------------------------------------
 # Config fingerprint
 # ----------------------------------------------------------------------
+# The RunConfig fields that shape a run (not trace_level; see RunConfig).
+FINGERPRINT_CONFIG_FIELDS = ("base_seed", "server_up_timeout",
+                             "client_timeout", "watchd_version", "cpu_mhz",
+                             "scm_lock_enabled")
+
+
+def fingerprint_digest(config: RunConfig, **fields) -> str:
+    """The 16-hex-digit digest of ``fields``, the store format and the
+    config's :data:`FINGERPRINT_CONFIG_FIELDS` — the one recipe behind
+    every store fingerprint."""
+    payload = {"format": STORE_FORMAT, **fields}
+    for name in FINGERPRINT_CONFIG_FIELDS:
+        payload[name] = getattr(config, name)
+    digest = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("ascii"))
+    return digest.hexdigest()[:16]
+
+
 def config_fingerprint(workload_name: str, middleware: MiddlewareKind,
                        config: RunConfig,
                        mechanism: str = "parameter") -> str:
@@ -196,24 +214,12 @@ def config_fingerprint(workload_name: str, middleware: MiddlewareKind,
     Two campaigns with the same fingerprint produce bit-identical
     results for the same fault key, so their runs are interchangeable.
     """
-    payload = {
-        "format": STORE_FORMAT,
-        "workload": workload_name,
-        "middleware": middleware.value,
-        "mechanism": mechanism,
-        "base_seed": config.base_seed,
-        "server_up_timeout": config.server_up_timeout,
-        "client_timeout": config.client_timeout,
-        "watchd_version": config.watchd_version,
-        "cpu_mhz": config.cpu_mhz,
+    return fingerprint_digest(
+        config, workload=workload_name, middleware=middleware.value,
+        mechanism=mechanism,
         # Frozen: the per-call record this switched is gone, but the
         # entry stays so fingerprints of existing stores still match.
-        "keep_full_trace": False,
-        "scm_lock_enabled": config.scm_lock_enabled,
-    }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("ascii"))
-    return digest.hexdigest()[:16]
+        keep_full_trace=False)
 
 
 # ----------------------------------------------------------------------

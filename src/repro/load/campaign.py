@@ -1,17 +1,22 @@
 """Load campaigns: repetitions and client-count sweeps over a LoadSpec.
 
-Same determinism contract as :mod:`repro.core.exec`: every load run
-boots a fresh machine seeded from ``(base seed, spec identity, rep)``
-and shares nothing with any other run, so a campaign is embarrassingly
-parallel per run and the process-pool path produces byte-identical
-store files to the serial path, whatever the worker count.
+Every load run boots a fresh machine seeded from ``(base seed, spec
+identity, rep)`` and shares nothing with any other run, so the
+process-pool path produces byte-identical store files to the serial
+path, whatever the worker count.  The grid goes through the campaign's
+serve-or-run loop (:func:`repro.core.exec.serve_or_run`).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core.exec import ExecutionBackend, SafeProgress, SerialBackend
+from ..core.exec import (
+    ExecutionBackend,
+    SafeProgress,
+    SerialBackend,
+    serve_or_run,
+)
 from ..core.runner import RunConfig
 from .result import LoadRunResult
 from .runner import execute_load_run
@@ -80,34 +85,21 @@ def run_load_tasks(tasks: Sequence[LoadTask], config: RunConfig,
     execution = LoadExecution()
     execution.total = len(tasks)
     safe_progress = SafeProgress(progress)
-    done = 0
-
-    # --- Serve cached runs, keeping slots for the rest ------------------
     slots: list[Optional[LoadRunResult]] = [None] * len(tasks)
-    pending: list[tuple[int, LoadTask]] = []
-    for index, task in enumerate(tasks):
-        cached = (store.get(task.spec.fingerprint(config), task.spec.key(task.rep))
-                  if store is not None else None)
-        if cached is not None:
-            slots[index] = cached
-            execution.cached_count += 1
-            done += 1
-            safe_progress(done, execution.total, cached)
-        else:
-            pending.append((index, task))
 
-    def record(item: tuple[int, LoadTask], run: LoadRunResult) -> None:
-        nonlocal done
-        index, task = item
-        if store is not None:
-            store.put(task.spec.fingerprint(config), task.spec.key(task.rep),
-                      run)
-        slots[index] = run
-        execution.executed_count += 1
-        done += 1
-        safe_progress(done, execution.total, run)
+    def keep(item: tuple[int, LoadTask], run: LoadRunResult) -> None:
+        slots[item[0]] = run
+        safe_progress(execution.cached_count + execution.executed_count,
+                      execution.total, run)
 
-    backend.map_chunks(_run_load_chunk, pending, config, on_result=record)
+    def locate(item: tuple[int, LoadTask]) -> tuple[str, str]:
+        task = item[1]
+        return task.spec.fingerprint(config), task.spec.key(task.rep)
+
+    serve_or_run(
+        list(enumerate(tasks)), store, locate,
+        lambda pending, record: backend.map_chunks(
+            _run_load_chunk, pending, config, on_result=record),
+        execution, keep)
     execution.runs = [run for run in slots if run is not None]
     return execution
-

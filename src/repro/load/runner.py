@@ -1,30 +1,31 @@
 """Execution of a single multi-client load run.
 
-The shape mirrors :func:`repro.core.runner.execute_run` — boot a fresh
-machine, arm the fault, deploy the server (optionally under
-middleware), wait for it to listen — but instead of one synthetic
-client the run spawns a whole client population with staggered
-arrivals and lets it drain (or hit the horizon).  Shutdown follows the
-same discipline: monitoring stops first, the DTS shutdown event is
-signalled, and connection hygiene is asserted before the machine is
-torn down, so a retry path that leaks connections fails a load run
-loudly at any client count.
+A load run is the injection run's lifecycle (the phase functions of
+:mod:`repro.core.runner`) with a whole client population in place of
+the one synthetic client: clients arrive staggered and drain (or hit
+the horizon), and clients still running at the horizon are cut off when
+the workload is terminated.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..nt.machine import Machine
-from ..core.runner import (
+# Machine, arm_fault and _graceful_shutdown stay importable here, as
+# perfbench patches them by module; the shared phases read the
+# repro.core.runner globals.
+from ..core.runner import (  # noqa: F401
+    Machine,
     RunConfig,
     _graceful_shutdown,
-    _stop_monitoring,
-    _wait_for_server,
     arm_fault,
+    boot,
+    release,
+    terminate,
 )
-from ..core.workload import WORKLOADS, WorkloadSpec
-from ..trace import TraceLevel, Tracer
+# Load specs carry the workload by registry name so they can cross
+# process-pool boundaries.
+from ..core.workload import get_workload as resolve_workload
 from .client import LoadClient
 from .result import ClientStats, LoadRunResult
 from .spec import LoadSpec
@@ -40,24 +41,10 @@ def execute_load_run(spec: LoadSpec, rep: int = 0,
     """Run one repetition of a load spec and return the result."""
     config = config or RunConfig()
     workload = resolve_workload(spec.workload)
-    # Same tracing contract as execute_run: a run traced at any level
-    # behaves identically to an untraced one (the differential engine
-    # oracle leans on full-level load-run traces).
-    level = TraceLevel.parse(config.trace_level)
-    tracer = Tracer(level) if level is not TraceLevel.OFF else None
-    machine = Machine(
-        seed=spec.seed(config.base_seed, config.watchd_version, rep),
-        cpu_mhz=config.cpu_mhz,
-        scm_lock_enabled=config.scm_lock_enabled,
-        tracer=tracer)
-    workload.setup(machine)
-
-    injector = arm_fault(machine, workload, spec.fault)
-    workload.deploy_middleware(machine, spec.middleware,
-                               watchd_version=config.watchd_version)
-
-    server_came_up = _wait_for_server(machine, workload,
-                                      config.server_up_timeout)
+    run = boot(workload, spec.middleware, spec.fault,
+               spec.seed(config.base_seed, config.watchd_version, rep),
+               config)
+    machine = run.machine
 
     # --- Release the client population ---------------------------------
     # All clients are spawned up front with their arrival offset baked
@@ -78,16 +65,8 @@ def execute_load_run(spec: LoadSpec, rep: int = 0,
             any(process.alive for process in processes):
         machine.run(until=min(machine.now + _DRAIN_STEP, horizon))
 
-    # --- Workload termination -------------------------------------------
-    _stop_monitoring(machine)
-    # Clients still running at the horizon are cut off, not leakers.
-    for process in processes:
-        if process.alive:
-            process.terminate(exit_code=1)
-    _graceful_shutdown(machine)
-
-    duration = machine.now
-    engine_events = machine.engine.events_processed
+    terminate(run, cut_off=processes)
+    injector = run.injector
     clients = [
         ClientStats(client_id=client.client_id,
                     arrived_at=client.arrived_at,
@@ -96,29 +75,9 @@ def execute_load_run(spec: LoadSpec, rep: int = 0,
                     cycles=list(client.records))
         for client in load_clients
     ]
-    machine.check_connection_hygiene()
-    machine.shutdown()
-    result = LoadRunResult(spec=spec, rep=rep,
-                         watchd_version=config.watchd_version,
-                         server_came_up=server_came_up,
-                         duration=duration,
-                         engine_events=engine_events,
-                         clients=clients,
-                         fault_activated=injector.fired
-                         if injector is not None else False,
-                         fault_noop=injector.was_noop
-                         if injector is not None else False)
-    if tracer is not None:
-        result.trace = tuple(tracer.events)
-        result.trace_level = level
-    return result
-
-
-def resolve_workload(name: str) -> WorkloadSpec:
-    """Find a workload by registry name (load specs store the name so
-    they can cross process-pool boundaries)."""
-    try:
-        return WORKLOADS[name]
-    except KeyError:
-        known = ", ".join(sorted(WORKLOADS))
-        raise KeyError(f"unknown workload {name!r}; known: {known}") from None
+    return release(run, LoadRunResult(
+        spec=spec, rep=rep, watchd_version=config.watchd_version,
+        server_came_up=run.server_came_up, duration=machine.now,
+        engine_events=machine.engine.events_processed, clients=clients,
+        fault_activated=injector.fired if injector is not None else False,
+        fault_noop=injector.was_noop if injector is not None else False))

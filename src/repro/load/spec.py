@@ -17,11 +17,14 @@ runs.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from typing import Optional
 
-from ..core.store import STORE_FORMAT, fault_from_dict, fault_key_str, fault_to_dict
+from ..core.store import (
+    fault_from_dict,
+    fault_key_str,
+    fault_to_dict,
+    fingerprint_digest,
+)
 from ..core.workload import MiddlewareKind
 from ..sim import derive_seed
 
@@ -111,27 +114,9 @@ class LoadSpec:
 
     def fingerprint(self, config) -> str:
         """Store fingerprint: every parameter shaping a load run."""
-        payload = {
-            "format": STORE_FORMAT,
-            "mechanism": "load",
-            "workload": self.workload,
-            "middleware": self.middleware.value,
-            "clients": self.clients,
-            "mode": self.mode.value,
-            "iterations": self.iterations,
-            "think_time": self.think_time,
-            "stagger": self.stagger,
-            "arrival_rate": self.arrival_rate,
-            "base_seed": config.base_seed,
-            "server_up_timeout": config.server_up_timeout,
-            "client_timeout": config.client_timeout,
-            "watchd_version": config.watchd_version,
-            "cpu_mhz": config.cpu_mhz,
-            "scm_lock_enabled": config.scm_lock_enabled,
-        }
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("ascii"))
-        return digest.hexdigest()[:16]
+        fields = self.to_dict()
+        del fields["fault"]  # the fault is in the store key instead
+        return fingerprint_digest(config, mechanism="load", **fields)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

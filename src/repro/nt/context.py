@@ -276,6 +276,13 @@ class DispatchContext:
         buffer — the program-side equivalent of dereferencing it."""
         return self.machine.address_space.resolve(address)
 
+    def compute(self, seconds: float):
+        """Model CPU-bound work; scales with the machine's clock speed
+        and with any active CPU-starvation tax (a resource fault)."""
+        machine = self.machine
+        yield Sleep(seconds * machine.cpu_scale
+                    * machine.pressure.cpu_tax(self.process.role))
+
 
 class Win32Context(DispatchContext):
     """Per-process gateway to the simulated NT machine."""
@@ -293,13 +300,6 @@ class Win32Context(DispatchContext):
     # ------------------------------------------------------------------
     # Conveniences for program code (not part of the Win32 surface)
     # ------------------------------------------------------------------
-    def compute(self, seconds: float):
-        """Model CPU-bound work; scales with the machine's clock speed
-        and with any active CPU-starvation tax (a resource fault)."""
-        machine = self.machine
-        yield Sleep(seconds * machine.cpu_scale
-                    * machine.pressure.cpu_tax(self.process.role))
-
     def log_debug(self, message: str) -> None:
         """Program-side diagnostics kept on the machine for tests."""
         self.machine.debug_log.append((self.now, self.process.pid, message))

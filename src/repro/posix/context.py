@@ -13,7 +13,6 @@ is new.
 from __future__ import annotations
 
 from ..nt.context import DispatchContext, ExportProxy
-from ..sim import Sleep
 from .libc import LIBC_IMPLEMENTATIONS, LIBC_REGISTRY
 
 
@@ -29,6 +28,3 @@ class PosixContext(DispatchContext):
     def __init__(self, machine, process):
         super().__init__(machine, process)
         self.libc = ExportProxy(self)
-
-    def compute(self, seconds: float):
-        yield Sleep(seconds * self.machine.cpu_scale)

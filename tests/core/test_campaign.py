@@ -7,6 +7,7 @@ runs a handful of injections, not the full 551-function sweep.
 import pytest
 
 from repro.core.campaign import Campaign, profile_workload, run_workload_set
+from repro.core.exec import ProcessPoolBackend
 from repro.core.faults import FaultType
 from repro.core.outcomes import Outcome
 from repro.core.runner import RunConfig
@@ -172,9 +173,10 @@ def test_pruned_census_is_bit_identical(config, manifest):
 def test_pruned_census_is_bit_identical_in_parallel(config, manifest):
     full = Campaign("IIS", MiddlewareKind.NONE,
                     functions=PRUNE_FUNCTIONS, config=config).run()
-    pruned = Campaign("IIS", MiddlewareKind.NONE,
-                      functions=PRUNE_FUNCTIONS, config=config,
-                      prune=manifest, jobs=2).run()
+    with ProcessPoolBackend(2) as backend:
+        pruned = Campaign("IIS", MiddlewareKind.NONE,
+                          functions=PRUNE_FUNCTIONS, config=config,
+                          prune=manifest, backend=backend).run()
     assert pruned.inferred_count > 0
     assert _census(pruned) == _census(full)
 
@@ -212,3 +214,19 @@ def test_pruned_campaign_kill_and_resume(config, manifest, tmp_path):
     with RunStore(path) as store:
         assert len(store) == len(reference.runs) - \
             resumed.inferred_count + 1   # + the profile run
+
+
+def test_fresh_store_checkpoints_under_the_campaign_fingerprint(config,
+                                                                tmp_path):
+    # An empty store is falsy (it has a length); its runs must still be
+    # keyed by the campaign's fingerprint, or the daemon cannot stream
+    # them back and a resume cannot find them.
+    from repro.core.store import RunStore
+
+    with RunStore(tmp_path / "runs.jsonl") as store:
+        campaign = Campaign("IIS", MiddlewareKind.NONE,
+                            functions=["SetErrorMode"], config=config,
+                            store=store)
+        result = campaign.run()
+        assert {fp for fp, _ in store.keys()} == {campaign.fingerprint()}
+        assert len(store) == len(result.runs) + 1  # + the profile run

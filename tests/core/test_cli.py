@@ -200,6 +200,43 @@ class TestRunExecutionOptions:
         assert store.exists()
 
 
+class TestJobsRule:
+    """One ``--jobs`` rule for every command: N < 1 exits 2."""
+
+    def _argv(self, command, tmp_path):
+        from repro.core.config import DtsConfig
+
+        config = tmp_path / "dts.ini"
+        config.write_text(DtsConfig(workload="IIS").to_text())
+        return {
+            "run": ["run", "--config", str(config),
+                    "--functions", "SetErrorMode"],
+            "load": ["load", "--workload", "apache", "--clients", "2"],
+            "reproduce": ["reproduce"],
+            "serve": ["serve", "--store", str(tmp_path / "store.d"),
+                      "--port", "0"],
+            "lint": ["lint"],
+        }[command]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command",
+                             ["run", "load", "reproduce", "serve", "lint"])
+    def test_jobs_below_one_exit_two(self, tmp_path, command, jobs):
+        code, text = _run(self._argv(command, tmp_path) + ["--jobs", jobs])
+        assert code == 2
+        assert "--jobs must be >= 1" in text
+
+    def test_execution_section_jobs_below_one_exits_two(self, tmp_path):
+        from repro.core.config import DtsConfig
+
+        path = tmp_path / "dts.ini"
+        path.write_text(DtsConfig(workload="IIS", jobs=0).to_text())
+        code, text = _run(["run", "--config", str(path),
+                           "--functions", "SetErrorMode"])
+        assert code == 2
+        assert "--jobs must be >= 1" in text
+
+
 class TestRunFaultFamilies:
     def _config_path(self, tmp_path):
         from repro.core.config import DtsConfig

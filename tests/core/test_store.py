@@ -183,6 +183,16 @@ def test_fingerprint_stable_and_sensitive():
                                               watchd_version=2))
 
 
+
+def test_config_fingerprints_are_pinned():
+    # Existing stores are keyed by these; moving one orphans them.
+    assert config_fingerprint("IIS", MiddlewareKind.NONE,
+                              RunConfig()) == "dd5d8a1c12381a43"
+    assert config_fingerprint("Apache1", MiddlewareKind.WATCHD,
+                              RunConfig(base_seed=7),
+                              "io") == "5ca0097ae6c58dff"
+
+
 # ----------------------------------------------------------------------
 # The JSONL store
 # ----------------------------------------------------------------------

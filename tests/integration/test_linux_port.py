@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Campaign, MiddlewareKind, RunConfig, execute_run
-from repro.core.faults import FaultSpec, FaultType
+from repro.core.faults import FaultSpec, FaultType, FaultWindow, ResourceFault
 from repro.core.outcomes import Outcome
 from repro.nt import Machine
 from repro.posix import (
@@ -162,6 +162,19 @@ class TestLinuxCampaigns:
         assert result.activated
         assert result.outcome in (Outcome.NORMAL_SUCCESS,
                                   Outcome.RETRY_SUCCESS)
+
+    def test_cpu_tax_stretches_linux_response_time(self, config):
+        # libc programs compute through the same taxed slice as
+        # kernel32 ones, so CPU starvation reaches the Linux port too.
+        baseline = execute_run(APACHE1_LINUX, MiddlewareKind.NONE, None,
+                               config)
+        taxed = execute_run(APACHE1_LINUX, MiddlewareKind.NONE,
+                            ResourceFault("cpu", 8.0,
+                                          FaultWindow("time", 0.0, 1000.0)),
+                            config)
+        assert taxed.activated
+        assert taxed.response_time is None or \
+            taxed.response_time > baseline.response_time
 
     def test_mscs_unavailable_on_linux(self, config):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.faults import FaultWindow, IoFault, ResourceFault
 from repro.core.runner import RunConfig
 from repro.load.result import load_result_to_dict
 from repro.load.runner import execute_load_run, resolve_workload
@@ -122,3 +123,24 @@ def test_load_run_trace_levels_nest():
         == [(e.time, e.category, e.name, e.data) for e in filtered]
     for line in trace_to_jsonl(full.trace).splitlines():
         json.loads(line)  # every record is valid JSONL
+
+
+@pytest.mark.parametrize("fault", [
+    ResourceFault("memory", 0.5, FaultWindow("calls", 1, 10**6)),
+    ResourceFault("cpu", 4.0, FaultWindow("time", 0.0, 10**6)),
+    IoFault("net.recv", "error", "ECONNRESET", FaultWindow("time", 5.0, 10**6)),
+], ids=["resource-calls", "resource-time", "io"])
+def test_traced_load_run_pairs_every_window_event(fault):
+    # A window still open when the clients are done is closed at
+    # teardown, exactly as in an injection run, and the trace opens
+    # with the fault.armed header.
+    spec = small_spec(fault=fault)
+    result = execute_load_run(
+        spec, config=RunConfig(base_seed=2000, trace_level="outcome"))
+    kinds = [event.kind for event in result.trace]
+    assert kinds.count("fault.activated") >= 1
+    assert kinds.count("fault.deactivated") == \
+        kinds.count("fault.activated")
+    [armed] = [event for event in result.trace
+               if event.kind == "fault.armed"]
+    assert armed.data == fault.armed_fields()

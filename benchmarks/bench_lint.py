@@ -11,9 +11,9 @@ pool, and every configuration is checked to produce identical findings
 It also prices the whole-program tiers: the interprocedural rule set
 against the base (pre-call-graph) set, and the value-flow rule set
 against the interprocedural one, best-of-N serially, each gated at
-< 2x — call-graph and value-flow construction are shared through
-keyed caches, so each tier's overhead should stay a fraction of one
-extra per-module pass.
+< 2x — each run parses into one lint project that builds its call
+graph and value-flow tier once for every rule, so each tier's overhead
+should stay a fraction of one extra per-module pass.
 
 As a script it writes the measurements to JSON for CI trending::
 

@@ -734,7 +734,8 @@ def cmd_serve(args, out) -> int:
 def cmd_lint(args, out) -> int:
     import os
 
-    from .lint import default_rules, dump_baseline, load_baseline, run_lint
+    from .lint import (default_rules, dump_baseline, load_baseline,
+                       load_project, run_lint)
 
     rules = default_rules()
     if args.rules:
@@ -781,27 +782,20 @@ def cmd_lint(args, out) -> int:
             return 2
 
     if args.emit_equivalence:
-        # Manifest emission is a standalone mode: it needs the parsed
-        # module set and the value-flow facts, not the findings.
-        from .lint.core import Analyzer, _lint_files
-        from .lint.valueflow import valueflow_for
-
-        analyzer = Analyzer([])
+        # Manifest emission runs no rules: it needs the parsed project's
+        # value-flow facts, not findings.
         try:
-            py_files, _fault_files = analyzer.collect(paths)
+            project = load_project(paths, jobs=args.jobs)
         except FileNotFoundError as exc:
             print(f"no such path: {exc.args[0]}", file=out)
             return 2
-        tasks = [(path, analyzer._display_path(path))
-                 for path in py_files]
-        modules, _parse_findings = _lint_files(tasks, [])
-        manifest = valueflow_for(modules).manifest
+        manifest = project.valueflow.manifest
         manifest.save(args.emit_equivalence)
         print(f"wrote {args.emit_equivalence}: "
               f"{len(manifest.classes)} class(es), "
               f"{manifest.collapsible_count} collapsible run(s) "
               f"({manifest.fingerprint})", file=out)
-        return 0
+        return _lint_reports(args, rules, project, None, out)
 
     baseline = {}
     baseline_path = args.baseline
@@ -868,58 +862,47 @@ def cmd_lint(args, out) -> int:
               f"{args.write_baseline}", file=out)
         return 0
 
+    return _lint_reports(args, rules, result.project, result, out)
+
+
+def _lint_reports(args, rules, project, result, out) -> int:
+    """Run the requested census / equivalence oracles over the lint
+    project and print every report; ``result`` is None when no rule
+    ran (``--emit-equivalence``)."""
     census_report = None
     if args.census_diff:
-        # The census needs the parsed module set, not the findings, so
-        # it re-collects with no rules attached (parse cost only).
         from .lint.censusdiff import census_diff
-        from .lint.core import Analyzer, _lint_files
 
-        analyzer = Analyzer([])
-        py_files, _fault_files = analyzer.collect(paths)
-        tasks = [(path, analyzer._display_path(path))
-                 for path in py_files]
-        modules, _parse_findings = _lint_files(tasks, [])
         census_report = census_diff(
-            modules, store_paths=args.census_store or ())
+            project, store_paths=args.census_store or ())
 
     equiv_report = None
     if args.equiv_check:
-        from .lint.core import Analyzer, _lint_files
         from .lint.valueflow import equiv_check
 
-        analyzer = Analyzer([])
-        py_files, _fault_files = analyzer.collect(paths)
-        tasks = [(path, analyzer._display_path(path))
-                 for path in py_files]
-        modules, _parse_findings = _lint_files(tasks, [])
         sample = args.equiv_sample if args.equiv_sample is not None else 6
-        equiv_report = equiv_check(modules, sample=sample)
+        equiv_report = equiv_check(project, sample=sample)
 
+    reports = [report for report in (result, census_report, equiv_report)
+               if report is not None]
     if args.output_format == "json":
         import json as json_module
 
-        payload = json_module.loads(result.render_json())
+        payload = {} if result is None else \
+            json_module.loads(result.render_json())
         if census_report is not None:
             payload["census"] = census_report.to_json()
         if equiv_report is not None:
             payload["equiv"] = equiv_report.to_json()
-        print(json_module.dumps(payload, indent=2), file=out)
-    elif args.output_format == "sarif":
+        if payload:
+            print(json_module.dumps(payload, indent=2), file=out)
+    elif args.output_format == "sarif" and result is not None:
         from .lint.sarif import render_sarif
         print(render_sarif(result, rules), file=out)
     else:
-        print(result.render_text(), file=out)
-        if census_report is not None:
-            print(census_report.render_text(), file=out)
-        if equiv_report is not None:
-            print(equiv_report.render_text(), file=out)
-    status = 0 if result.clean else 1
-    if census_report is not None and not census_report.clean:
-        status = 1
-    if equiv_report is not None and not equiv_report.clean:
-        status = 1
-    return status
+        for report in reports:
+            print(report.render_text(), file=out)
+    return 0 if all(report.clean for report in reports) else 1
 
 
 _COMMANDS = {

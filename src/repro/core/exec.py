@@ -25,7 +25,7 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from .collector import RunResult, infer_result
-from .plan import CampaignPlan, RunTask, TaskKind
+from .plan import CampaignPlan, RunTask
 from .runner import RunConfig, execute_run
 from .workload import MiddlewareKind, WorkloadSpec, get_workload
 

@@ -17,6 +17,13 @@ compute per-parameter usage facts; the same facts power the
 fault-equivalence manifest that ``repro run --prune-equivalent``
 uses to collapse the campaign grid.
 
+A run parses the tree once into one lint project
+(:class:`~repro.lint.engine.ProjectIndex`): each module is indexed
+once, the call graph and the value-flow tier are built on first use,
+and every rule, fault-list check and ``repro lint`` mode reads that
+project.  :func:`run_lint` returns it as ``LintResult.project``;
+:func:`load_project` parses without running any rule.
+
 ==========================  ==========================================
 rule                        catches
 ==========================  ==========================================
@@ -63,14 +70,16 @@ rule                        catches
 Run via ``python -m repro lint [--format text|json|sarif] [--jobs N]
 [--baseline lint-baseline.json] [--update-baseline] [--rules/--select
 NAMES] [--census-diff [--census-store STORE.jsonl]] [--equiv-check
-[--equiv-sample N]] [--emit-equivalence FILE] [paths...]``; exit code
-0 means clean (a note is printed when findings exist but every one is
+[--equiv-sample N]] [--emit-equivalence FILE] [paths...]``.
+``--emit-equivalence`` runs no rules: it writes the manifest, then runs
+whichever of the census and equivalence oracles were also asked for.
+Exit code 0 means clean (a note is printed when findings exist but every one is
 baseline-suppressed), 1 means non-baselined findings (or unexplained
 census activations, or equivalence-oracle divergence), 2 means a
 usage error.
 """
 
-from .callgraph import CallGraph, callgraph_for
+from .callgraph import CallGraph
 from .censusdiff import CensusReport, census_diff
 from .core import (
     Analyzer,
@@ -84,6 +93,7 @@ from .core import (
     default_rules,
     dump_baseline,
     load_baseline,
+    load_project,
     run_lint,
 )
 from .engine import (
@@ -100,9 +110,7 @@ from .valueflow import (
     UseBeforeValidateRule,
     ValueFlow,
     analyze_valueflow,
-    compute_equivalence,
     equiv_check,
-    valueflow_for,
 )
 
 __all__ = [
@@ -125,15 +133,13 @@ __all__ = [
     "apply_baseline",
     "baseline_entry_path",
     "build_cfg",
-    "callgraph_for",
     "census_diff",
-    "compute_equivalence",
     "default_rules",
     "dump_baseline",
     "equiv_check",
     "load_baseline",
+    "load_project",
     "module_name_for_path",
     "render_sarif",
     "run_lint",
-    "valueflow_for",
 ]

@@ -19,12 +19,12 @@ builds:
 - :class:`CallGraph` — the summaries for every function of a
   :class:`~repro.lint.engine.ProjectIndex`, linked by resolved call
   edges (direct calls, ``self``/``cls`` methods, cross-module calls
-  through import maps including relative imports, ``yield from``
-  delegation, calls inside ``lambda`` bodies — the ``ThreadEntry`` /
-  ``register_image`` factory idiom — and bound-method references
-  passed as arguments).  Roots are discovered from the process-image
-  registrations the simulator itself uses: every
-  ``register_image(..., role=...)`` / ``spawn(..., role=...)`` site
+  through each module index's import map, relative imports included,
+  ``yield from`` delegation, calls inside ``lambda`` bodies — the
+  ``ThreadEntry`` / ``register_image`` factory idiom — and
+  bound-method references passed as arguments).  Roots are discovered
+  from the process-image registrations the simulator itself uses:
+  every ``register_image(..., role=...)`` / ``spawn(..., role=...)`` site
   names a class whose ``main`` generator is an entry point, keyed by
   the role faults are injected into.
 
@@ -35,26 +35,22 @@ evidence), while everything resolvable — however indirectly spelled —
 does.  Construction is deterministic: modules and functions are
 processed in sorted order, and :meth:`CallGraph.summary` produces a
 canonical structure that is invariant under module discovery-order
-permutation (property-tested, like the engine's index).
+permutation (property-tested, like the engine's index).  A project
+builds its graph once, on first use (``project.callgraph``), and the
+three interprocedural rules, ``dead-param``, ``use-before-validate``
+and the census oracle all read that one graph.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .engine import (
-    ModuleIndex,
-    ProjectIndex,
-    attribute_chain,
-    module_name_for_path,
-)
-from .core import ParsedModule, sim_api_call, unwrap_yield
+from .core import sim_api_call, unwrap_yield
+from .engine import ModuleIndex, ProjectIndex, attribute_chain
 
 # Function key: (module dotted name, qualified function name).
 FuncKey = tuple  # tuple[str, str]
-
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # API write calls whose *data* parameter lands in restart-surviving
 # storage (the simulated filesystem / a pipe another process persists).
@@ -246,64 +242,6 @@ class FunctionSummary:
         # names dereferenced via subscript/attribute (use sites for the
         # unexamined-result check)
         self.subscript_uses: list[tuple] = []
-
-
-# ----------------------------------------------------------------------
-# Relative import resolution
-# ----------------------------------------------------------------------
-def resolve_relative(module_name: str, level: int,
-                     target: Optional[str], is_package: bool) -> Optional[str]:
-    """``from ..net.http import X`` inside ``repro.servers.apache`` ->
-    ``repro.net.http``."""
-    parts = module_name.split(".")
-    if not is_package:
-        parts = parts[:-1]
-    drop = level - 1
-    if drop > len(parts):
-        return None
-    base = parts[:len(parts) - drop] if drop else parts
-    if target:
-        base = base + target.split(".")
-    return ".".join(base) if base else None
-
-
-def _module_is_package(path: str) -> bool:
-    return path.replace("\\", "/").endswith("__init__.py")
-
-
-class _ImportMap:
-    """One module's name-resolution map, including relative imports
-    (which :class:`~repro.lint.engine.ModuleIndex` skips — the race
-    rules never needed them, the call graph does)."""
-
-    def __init__(self, module_name: str, index: ModuleIndex):
-        self.module_alias: dict[str, str] = dict(index.imports)
-        self.symbol: dict[str, tuple] = dict(index.from_imports)
-        is_package = _module_is_package(index.path)
-        for node in ast.walk(index.tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                resolved = resolve_relative(module_name, node.level,
-                                            node.module, is_package)
-                if resolved is None:
-                    continue
-                for alias in node.names:
-                    self.symbol[alias.asname or alias.name] = \
-                        (resolved, alias.name)
-
-    def imported_symbol(self, name: str) -> Optional[tuple]:
-        return self.symbol.get(name)
-
-    def imported_module(self, name: str) -> Optional[str]:
-        target = self.module_alias.get(name)
-        if target is not None:
-            return target
-        # `from ..middleware import watchd as watchd_module` binds a
-        # *module* through a from-import.
-        entry = self.symbol.get(name)
-        if entry is not None:
-            module, symbol = entry
-            return f"{module}.{symbol}"
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -603,11 +541,13 @@ class _Resolver:
         index = self.graph.project.modules.get(module_name)
         return index.module_globals if index is not None else frozenset()
 
+    def _index(self, summary: FunctionSummary) -> ModuleIndex:
+        return self.graph.project.modules[summary.module_name]
+
     # ------------------------------------------------------------------
     def resolve(self, summary: FunctionSummary,
                 call: ast.Call) -> Optional[FuncKey]:
         func = call.func
-        module_name = summary.module_name
         if isinstance(func, ast.Name):
             return self.resolve_name(summary, func.id)
         if isinstance(func, ast.Attribute) and \
@@ -622,9 +562,7 @@ class _Resolver:
             if class_key is not None:
                 return self.graph.lookup_method(class_key, func.attr)
             # Module-qualified call: `watchd_module.install(machine)`.
-            imports = self.graph.import_map(module_name)
-            target_module = imports.imported_module(receiver) \
-                if imports else None
+            target_module = self._index(summary).imported_module(receiver)
             if target_module is not None:
                 return self.graph.lookup_function(target_module, func.attr)
         return None
@@ -635,19 +573,17 @@ class _Resolver:
         key = self.graph.lookup_function(module_name, name)
         if key is not None:
             return key
-        imports = self.graph.import_map(module_name)
-        if imports is not None:
-            entry = imports.imported_symbol(name)
-            if entry is not None:
-                target_module, symbol = entry
-                resolved = self.graph.lookup_function(target_module, symbol)
-                if resolved is not None:
-                    return resolved
-                # An imported *class*: its constructor + main matter to
-                # reachability only through registrations; constructor
-                # edges keep __init__ state analysable.
-                return self.graph.lookup_method(
-                    (target_module, symbol), "__init__")
+        entry = self._index(summary).from_imports.get(name)
+        if entry is not None:
+            target_module, symbol = entry
+            resolved = self.graph.lookup_function(target_module, symbol)
+            if resolved is not None:
+                return resolved
+            # An imported *class*: its constructor + main matter to
+            # reachability only through registrations; constructor
+            # edges keep __init__ state analysable.
+            return self.graph.lookup_method(
+                (target_module, symbol), "__init__")
         # A class defined in this module, instantiated by bare name.
         return self.graph.lookup_method((module_name, name), "__init__")
 
@@ -696,9 +632,8 @@ class _Resolver:
                 return self._class_by_name(summary, ctor.id)
             if isinstance(ctor, ast.Attribute) and \
                     isinstance(ctor.value, ast.Name):
-                imports = self.graph.import_map(summary.module_name)
-                target_module = imports.imported_module(ctor.value.id) \
-                    if imports else None
+                target_module = self._index(summary).imported_module(
+                    ctor.value.id)
                 if target_module is not None and \
                         self.graph.has_class((target_module, ctor.attr)):
                     return (target_module, ctor.attr)
@@ -715,11 +650,9 @@ class _Resolver:
         module_name = summary.module_name
         if self.graph.has_class((module_name, name)):
             return (module_name, name)
-        imports = self.graph.import_map(module_name)
-        if imports is not None:
-            entry = imports.imported_symbol(name)
-            if entry is not None and self.graph.has_class(entry):
-                return entry
+        entry = self._index(summary).from_imports.get(name)
+        if entry is not None and self.graph.has_class(entry):
+            return entry
         return None
 
 
@@ -733,16 +666,11 @@ class CallGraph:
         self.project = project
         self.summaries: dict[FuncKey, FunctionSummary] = {}
         self.registrations: list[RoleRegistration] = []
-        self._import_maps: dict[str, _ImportMap] = {}
         self._classes: dict[FuncKey, ast.ClassDef] = {}
         self._class_bases: dict[FuncKey, tuple] = {}
         self._build()
 
     # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, modules: Sequence[ParsedModule]) -> "CallGraph":
-        return cls(ProjectIndex.build(modules))
-
     def _build(self) -> None:
         for module_name in sorted(self.project.modules):
             index = self.project.modules[module_name]
@@ -784,16 +712,6 @@ class CallGraph:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def import_map(self, module_name: str) -> Optional[_ImportMap]:
-        cached = self._import_maps.get(module_name)
-        if cached is None:
-            index = self.project.modules.get(module_name)
-            if index is None:
-                return None
-            cached = _ImportMap(module_name, index)
-            self._import_maps[module_name] = cached
-        return cached
-
     def has_class(self, class_key: FuncKey) -> bool:
         return class_key in self._classes
 
@@ -881,14 +799,6 @@ class CallGraph:
             for api_call in self.summaries[key].api_calls:
                 exports.add((api_call.api, api_call.name))
         return exports
-
-    def callers_of(self, key: FuncKey) -> list[tuple[FuncKey, CallSite]]:
-        out = []
-        for caller_key in sorted(self.summaries):
-            for site in self.summaries[caller_key].calls:
-                if site.callee == key:
-                    out.append((caller_key, site))
-        return out
 
     # ------------------------------------------------------------------
     # Derived interprocedural sets
@@ -1036,23 +946,3 @@ def _flows_from(summary: FunctionSummary, name: str,
         return sources
     return set()
 
-
-# ----------------------------------------------------------------------
-# Shared single-slot cache
-# ----------------------------------------------------------------------
-# The three interprocedural passes (error-propagation, corruption-
-# escape, fault-reachability) run back-to-back over the same parsed
-# module list; building the graph once per *run* instead of once per
-# rule keeps the whole tier inside its <2x wall-time budget.  Keyed by
-# tree identity so a re-parse (different run) misses.
-_CACHE: list = [None, None]  # [key, graph]
-
-
-def callgraph_for(modules: Sequence[ParsedModule]) -> CallGraph:
-    key = tuple((module.path, id(module.tree)) for module in modules)
-    if _CACHE[0] == key:
-        return _CACHE[1]
-    graph = CallGraph.build(modules)
-    _CACHE[0] = key
-    _CACHE[1] = graph
-    return graph

@@ -38,8 +38,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional, Sequence
 
-from .callgraph import callgraph_for
-from .core import FaultListFile, Finding, ParsedModule, Rule
+from .core import FaultListFile, Finding, Rule
+from .engine import ProjectIndex
 
 RULE = "fault-reachability"
 
@@ -51,9 +51,9 @@ _MIDDLEWARE_NAMES = ("none", "mscs", "watchd")
 # ----------------------------------------------------------------------
 # Static side
 # ----------------------------------------------------------------------
-def static_role_exports(modules: Sequence[ParsedModule]) -> dict:
+def static_role_exports(project: ProjectIndex) -> dict:
     """role -> set of statically reachable ``k32`` export names."""
-    graph = callgraph_for(modules)
+    graph = project.callgraph
     table: dict[str, set] = {}
     for role, roots in graph.roles().items():
         table[role] = {name for api, name in graph.reachable_api(roots)
@@ -236,7 +236,7 @@ class CensusReport:
         return "\n".join(lines)
 
 
-def census_diff(modules: Sequence[ParsedModule],
+def census_diff(project: ProjectIndex,
                 store_paths: Sequence[str] = (),
                 workload_names: Optional[Sequence[str]] = None,
                 ) -> CensusReport:
@@ -249,7 +249,7 @@ def census_diff(modules: Sequence[ParsedModule],
     dynamically observed role the graph does not know yields findings
     through its wholly unexplained set.
     """
-    static = static_role_exports(modules)
+    static = static_role_exports(project)
     if store_paths:
         dynamic = dynamic_census_from_stores(store_paths)
     else:
@@ -269,31 +269,16 @@ class FaultReachabilityRule(Rule):
     description = ("fault-list entries must target functions some "
                    "registered workload role can reach")
 
-    def __init__(self) -> None:
-        self._reachable: Optional[set] = None
-
-    def check_project(self,
-                      modules: Sequence[ParsedModule]) -> Iterable[Finding]:
-        graph = callgraph_for(modules)
-        roles = graph.roles()
-        if not roles:
+    def check_fault_file(self, fault_file: FaultListFile,
+                         project: ProjectIndex) -> Iterable[Finding]:
+        role_exports = static_role_exports(project)
+        if not role_exports:
             # No registrations in scope (linting a fragment): without
             # roots every export would look dead, so stay silent.
-            self._reachable = None
-            return ()
-        reachable: set = set()
-        for roots in roles.values():
-            reachable.update(name for api, name in
-                             graph.reachable_api(roots) if api == "k32")
-        self._reachable = reachable
-        return ()
-
-    def check_fault_file(self,
-                         fault_file: FaultListFile) -> Iterable[Finding]:
-        if self._reachable is None:
             return
         from ..nt.kernel32.signatures import REGISTRY
 
+        reachable = set().union(*role_exports.values())
         seen: set = set()
         for line_number, raw_line in enumerate(
                 fault_file.text.splitlines(), start=1):
@@ -305,7 +290,7 @@ class FaultReachabilityRule(Rule):
             # separately validates names/indices, so unknown exports
             # are its findings, not ours.
             if function in seen or function not in REGISTRY or \
-                    function in self._reachable:
+                    function in reachable:
                 continue
             seen.add(function)
             yield Finding(

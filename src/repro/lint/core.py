@@ -17,8 +17,11 @@ Architecture
   time (``check_module``), the whole project at once
   (``check_project``), and non-Python fault-list files
   (``check_fault_file``).
-- :class:`Analyzer` — collects files, parses each once, runs the
-  rules, and applies a baseline.
+- :class:`Analyzer` — collects files, parses each once into one
+  :class:`~repro.lint.engine.ProjectIndex` (the lint project every
+  rule and every ``repro lint`` mode reads), runs the rules, and
+  applies a baseline.  :func:`load_project` is the same parse with no
+  rule attached.
 
 The baseline file maps finding keys to allowed occurrence counts, so
 deliberate hazards (the simulated servers' sloppy error handling *is*
@@ -31,7 +34,10 @@ from __future__ import annotations
 import ast
 import json
 import os
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+
+if TYPE_CHECKING:  # the engine imports this module's helpers
+    from .engine import ModuleIndex, ProjectIndex
 
 # File extensions treated as fault-list files when scanning directories.
 FAULT_LIST_SUFFIXES = (".lst", ".flt", ".faults")
@@ -89,12 +95,28 @@ class Finding:
 class ParsedModule:
     """One successfully parsed Python source file."""
 
-    __slots__ = ("path", "tree", "source")
+    __slots__ = ("path", "tree", "source", "_index")
 
     def __init__(self, path: str, tree: ast.Module, source: str):
         self.path = path
         self.tree = tree
         self.source = source
+        self._index = None
+
+    @property
+    def index(self) -> "ModuleIndex":
+        """This module's symbol table, built on first use and shared by
+        every rule and by the project's call graph."""
+        if self._index is None:
+            from .engine import ModuleIndex
+
+            self._index = ModuleIndex(self.path, self.tree)
+        return self._index
+
+    def __reduce__(self):
+        # Pool workers send back the parse only; the parent re-indexes
+        # on demand.
+        return ParsedModule, (self.path, self.tree, self.source)
 
 
 class FaultListFile:
@@ -120,10 +142,11 @@ class Rule:
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
         return ()
 
-    def check_project(self, modules: Sequence[ParsedModule]) -> Iterable[Finding]:
+    def check_project(self, project: "ProjectIndex") -> Iterable[Finding]:
         return ()
 
-    def check_fault_file(self, fault_file: FaultListFile) -> Iterable[Finding]:
+    def check_fault_file(self, fault_file: FaultListFile,
+                         project: "ProjectIndex") -> Iterable[Finding]:
         return ()
 
 
@@ -308,11 +331,11 @@ class LintResult:
     """Outcome of one analyzer run."""
 
     __slots__ = ("findings", "suppressed", "files_checked",
-                 "checked_paths")
+                 "checked_paths", "project")
 
     def __init__(self, findings: list[Finding], suppressed: int,
-                 files_checked: int,
-                 checked_paths: frozenset = frozenset()):
+                 files_checked: int, checked_paths: frozenset,
+                 project: "ProjectIndex"):
         self.findings = findings
         self.suppressed = suppressed
         self.files_checked = files_checked
@@ -320,6 +343,8 @@ class LintResult:
         # regeneration uses them to tell "file fixed" (in scope, no
         # findings) from "file out of scope" (entry kept).
         self.checked_paths = checked_paths
+        # The parsed tree, for the census and equivalence oracles.
+        self.project = project
 
     @property
     def clean(self) -> bool:
@@ -391,6 +416,8 @@ class Analyzer:
 
     # ------------------------------------------------------------------
     def run(self, paths: Sequence[str], jobs: int = 1) -> LintResult:
+        from .engine import ProjectIndex
+
         py_files, fault_files = self.collect(paths)
         tasks = [(path, self._display_path(path)) for path in py_files]
         if jobs > 1 and len(tasks) > 1:
@@ -398,23 +425,24 @@ class Analyzer:
         else:
             modules, findings = _lint_files(tasks, self.rules)
 
+        project = ProjectIndex(modules)
         for rule in self.rules:
-            findings.extend(rule.check_project(modules))
+            findings.extend(rule.check_project(project))
         for path in fault_files:
             display = self._display_path(path)
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
             fault_file = FaultListFile(display, text)
             for rule in self.rules:
-                findings.extend(rule.check_fault_file(fault_file))
+                findings.extend(rule.check_fault_file(fault_file, project))
 
         findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
         fresh, suppressed = apply_baseline(findings, self.baseline)
         checked = frozenset(display for _path, display in tasks) | \
             frozenset(self._display_path(path) for path in fault_files)
         return LintResult(fresh, suppressed,
-                          len(py_files) + len(fault_files),
-                          checked_paths=checked)
+                          len(py_files) + len(fault_files), checked,
+                          project)
 
     # ------------------------------------------------------------------
     def _run_parallel(self, tasks: Sequence[tuple], jobs: int) -> tuple:
@@ -477,6 +505,11 @@ def default_rules() -> list[Rule]:
         FaultSpaceRule(),
         FaultReachabilityRule(),
     ]
+
+
+def load_project(paths: Sequence[str], jobs: int = 1) -> "ProjectIndex":
+    """Parse ``paths`` into one lint project without running any rule."""
+    return Analyzer([]).run(paths, jobs=jobs).project
 
 
 def run_lint(paths: Sequence[str],

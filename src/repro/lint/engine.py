@@ -9,17 +9,23 @@ suspended*, *which state is shared between interleaved coroutines*, and
 they (and any adopting rule) share:
 
 - :class:`ModuleIndex` — one module's symbol table: top-level
-  bindings, the import map, every function with its dotted qualname and
-  owning class, and whether a delegation target can actually suspend
+  bindings, the import map (absolute and relative imports, resolved
+  once), every function with its dotted qualname and owning class, and
+  whether a delegation target can actually suspend
   (:meth:`ModuleIndex.can_suspend` follows ``yield from`` chains).
+  Each :class:`~repro.lint.core.ParsedModule` builds its index once,
+  on first use, and every rule reads that one index.
 - :class:`GeneratorCFG` — one generator function sliced into
   *segments*: maximal regions that execute atomically between two
   suspension points (``yield`` / ``yield from``).  Each shared-state
   access is recorded with the segment it falls in, so "does this value
   survive a suspension" becomes integer comparison.
-- :class:`ProjectIndex` — the module indexes for a whole tree, keyed
-  by dotted module name, with a canonical :meth:`ProjectIndex.summary`
-  for stability checks.
+- :class:`ProjectIndex` — the one lint project of a run: the parsed
+  modules, their indexes keyed by dotted module name, and the
+  whole-program tiers built on first use (``.callgraph``,
+  ``.valueflow``), with a canonical :meth:`ProjectIndex.summary` for
+  stability checks.  Every project rule, the fault-file checks and the
+  ``repro lint`` census and equivalence modes read the same project.
 
 The CFG is deliberately an *abstraction*, not an interpreter: control
 flow is over-approximated (both branches of an ``if`` are walked, loop
@@ -36,7 +42,10 @@ the invariant it enforces).
 from __future__ import annotations
 
 import ast
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
+
+from .core import ParsedModule, is_generator, walk_in_scope
 
 # Receiver roots considered *shared* between interleaved coroutines: the
 # instance a server/middleware method runs on, and everything reachable
@@ -164,16 +173,6 @@ class GeneratorCFG:
         self.captures: list[Capture] = []
         self.branches: list[Branch] = []
         self.segment_count = 1
-
-    def segment_accesses(self) -> dict:
-        """``segment -> {"reads": set, "writes": set}`` of chain texts."""
-        table: dict[int, dict[str, set]] = {}
-        for access in self.accesses:
-            bucket = table.setdefault(access.segment,
-                                      {"reads": set(), "writes": set()})
-            side = "reads" if access.kind == "read" else "writes"
-            bucket[side].add(chain_text(access.chain))
-        return table
 
     def summary(self) -> dict:
         """Canonical, comparison-friendly description of the CFG."""
@@ -487,20 +486,12 @@ class FunctionInfo:
         self.is_generator = is_generator
 
 
-def _own_scope_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        child = stack.pop()
-        yield child
-        if not isinstance(child, _FUNCTION_NODES + (ast.Lambda, ast.ClassDef)):
-            stack.extend(ast.iter_child_nodes(child))
-
-
 class ModuleIndex:
     """Symbol table and generator CFGs for one parsed module."""
 
     def __init__(self, path: str, tree: ast.Module):
         self.path = path
+        self.name = module_name_for_path(path)
         self.tree = tree
         self.module_globals = frozenset(self._top_level_names(tree))
         self.imports: dict[str, str] = {}          # alias -> module
@@ -526,25 +517,29 @@ class ModuleIndex:
                 yield stmt.target.id
 
     def _collect_imports(self, tree: ast.Module) -> None:
+        is_package = self.path.replace("\\", "/").endswith("__init__.py")
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self.imports[alias.asname or alias.name.split(".")[0]] \
                         = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module \
-                    and not node.level:
+            elif isinstance(node, ast.ImportFrom):
+                source = resolve_relative(self.name, node.level,
+                                          node.module, is_package) \
+                    if node.level else node.module
+                if source is None:
+                    continue
                 for alias in node.names:
                     self.from_imports[alias.asname or alias.name] = \
-                        (node.module, alias.name)
+                        (source, alias.name)
 
     def _collect_functions(self, node: ast.AST, prefix: str,
                            class_name: Optional[str]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, _FUNCTION_NODES):
                 qualname = f"{prefix}{child.name}"
-                is_gen = not isinstance(child, ast.AsyncFunctionDef) and any(
-                    isinstance(sub, (ast.Yield, ast.YieldFrom))
-                    for sub in _own_scope_nodes(child))
+                is_gen = not isinstance(child, ast.AsyncFunctionDef) and \
+                    is_generator(child)
                 info = FunctionInfo(qualname, child, class_name, is_gen)
                 self.functions[qualname] = info
                 if class_name is not None:
@@ -559,6 +554,18 @@ class ModuleIndex:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
+    def imported_module(self, name: str) -> Optional[str]:
+        """The module ``name`` is bound to, by ``import`` or by a
+        from-import of a module (``from ..middleware import watchd``)."""
+        target = self.imports.get(name)
+        if target is not None:
+            return target
+        entry = self.from_imports.get(name)
+        if entry is not None:
+            module, symbol = entry
+            return f"{module}.{symbol}"
+        return None
+
     def function(self, name: str) -> Optional[FunctionInfo]:
         """A module-level function by bare name."""
         info = self.functions.get(name)
@@ -624,7 +631,7 @@ class ModuleIndex:
         memo[qualname] = None
         info = self.functions[qualname]
         result = False
-        for node in _own_scope_nodes(info.node):
+        for node in walk_in_scope(info.node):
             if isinstance(node, ast.Yield):
                 result = True
                 break
@@ -655,6 +662,22 @@ class ModuleIndex:
 # ----------------------------------------------------------------------
 # Project-wide index
 # ----------------------------------------------------------------------
+def resolve_relative(module_name: str, level: int,
+                     target: Optional[str], is_package: bool) -> Optional[str]:
+    """``from ..net.http import X`` inside ``repro.servers.apache`` ->
+    ``repro.net.http``."""
+    parts = module_name.split(".")
+    if not is_package:
+        parts = parts[:-1]
+    drop = level - 1
+    if drop > len(parts):
+        return None
+    base = parts[:len(parts) - drop] if drop else parts
+    if target:
+        base = base + target.split(".")
+    return ".".join(base) if base else None
+
+
 def module_name_for_path(path: str) -> str:
     """``src/repro/sim/engine.py`` -> ``repro.sim.engine``."""
     parts = path.replace("\\", "/").split("/")
@@ -668,25 +691,32 @@ def module_name_for_path(path: str) -> str:
 
 
 class ProjectIndex:
-    """Module indexes for a whole tree, keyed by dotted module name."""
+    """The one lint project: the parsed modules of a run, each indexed
+    once, and the whole-program tiers, each built on first use."""
 
-    def __init__(self):
-        self.modules: dict[str, ModuleIndex] = {}
+    def __init__(self, parsed: Sequence[ParsedModule]):
+        self.parsed = list(parsed)  # discovery order
 
-    @classmethod
-    def build(cls, modules: Sequence) -> "ProjectIndex":
-        """Index every :class:`~repro.lint.core.ParsedModule` given."""
-        index = cls()
-        for module in modules:
-            name = module_name_for_path(module.path)
-            index.modules[name] = ModuleIndex(module.path, module.tree)
-        return index
+    @cached_property
+    def modules(self) -> dict[str, ModuleIndex]:
+        """Module indexes keyed by dotted module name."""
+        return {module.index.name: module.index for module in self.parsed}
 
-    def module_for_path(self, path: str) -> Optional[ModuleIndex]:
-        for module in self.modules.values():
-            if module.path == path:
-                return module
-        return None
+    @cached_property
+    def callgraph(self):
+        """The interprocedural tier, a
+        :class:`~repro.lint.callgraph.CallGraph`."""
+        from .callgraph import CallGraph
+
+        return CallGraph(self)
+
+    @cached_property
+    def valueflow(self):
+        """The value-flow tier, a
+        :class:`~repro.lint.valueflow.ValueFlow`."""
+        from .valueflow import analyze_valueflow
+
+        return analyze_valueflow(self.parsed)
 
     def summary(self) -> dict:
         """Canonical nested-dict form, for stability comparisons."""

@@ -37,10 +37,11 @@ does not track corruption of individual dictionary entries.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .callgraph import CallGraph, FunctionSummary, callgraph_for
-from .core import Finding, ParsedModule, Rule
+from .callgraph import CallGraph, FunctionSummary
+from .core import Finding, Rule
+from .engine import ProjectIndex
 
 RULE = "corruption-escape"
 
@@ -137,9 +138,8 @@ class CorruptionEscapeRule(Rule):
     description = ("values tainted by injectable parameters must be "
                    "validated before reaching restart-surviving state")
 
-    def check_project(self,
-                      modules: Sequence[ParsedModule]) -> Iterable[Finding]:
-        graph = callgraph_for(modules)
+    def check_project(self, project: ProjectIndex) -> Iterable[Finding]:
+        graph = project.callgraph
         tainted_returns = _tainted_returns(graph)
         sink_params = graph.sink_params()
         findings: list[Finding] = []

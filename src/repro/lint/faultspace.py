@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Optional
 from ..core.faults import FaultType, FaultWindow, IoFault, ResourceFault
 from ..nt.kernel32.signatures import REGISTRY
 from .core import FaultListFile, Finding, ParsedModule, Rule, iter_functions, suggest, walk_in_scope
+from .engine import ProjectIndex
 
 RULE = "fault-space"
 
@@ -84,7 +85,8 @@ class FaultSpaceRule(Rule):
     # ------------------------------------------------------------------
     # Fault-list files
     # ------------------------------------------------------------------
-    def check_fault_file(self, fault_file: FaultListFile) -> Iterable[Finding]:
+    def check_fault_file(self, fault_file: FaultListFile,
+                         project: ProjectIndex) -> Iterable[Finding]:
         findings: list[Finding] = []
         for line_number, raw_line in enumerate(
                 fault_file.text.splitlines(), start=1):

@@ -39,10 +39,11 @@ producer three modules away still marks its droppers.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .callgraph import CallGraph, FunctionSummary, callgraph_for
-from .core import Finding, ParsedModule, Rule
+from .callgraph import CallGraph, FunctionSummary
+from .core import Finding, Rule
+from .engine import ProjectIndex
 from .returns import _return_class
 
 RULE = "error-propagation"
@@ -85,9 +86,8 @@ class ErrorPropagationRule(Rule):
     description = ("detected kernel32 failures must propagate to a "
                    "caller that can act")
 
-    def check_project(self,
-                      modules: Sequence[ParsedModule]) -> Iterable[Finding]:
-        graph = callgraph_for(modules)
+    def check_project(self, project: ProjectIndex) -> Iterable[Finding]:
+        graph = project.callgraph
         producers = graph.error_producers()
         findings: list[Finding] = []
         for key in sorted(graph.summaries):

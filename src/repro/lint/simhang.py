@@ -104,7 +104,7 @@ class SimHangRule(Rule):
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
         findings: list[Finding] = []
-        index = ModuleIndex(module.path, module.tree)
+        index = module.index
         for qualname, fn in iter_functions(module.tree):
             if isinstance(fn, ast.AsyncFunctionDef) or not is_generator(fn):
                 continue

@@ -46,7 +46,8 @@ import hashlib
 import json
 from typing import Iterable, Optional, Sequence
 
-from .core import Finding, ParsedModule, Rule
+from .core import Finding, ParsedModule, Rule, walk_in_scope
+from .engine import ProjectIndex
 
 # ----------------------------------------------------------------------
 # Abstract values
@@ -858,7 +859,8 @@ class ValueFlow:
 
 
 def analyze_valueflow(modules: Sequence[ParsedModule]) -> ValueFlow:
-    """Compute the value-flow tier for the linted modules.
+    """Compute the value-flow tier for the linted modules (a project
+    computes it once, as ``project.valueflow``).
 
     Exports whose implementation is registered at runtime but whose
     source is *outside* the linted scope are marked ``unanalyzed`` and
@@ -904,24 +906,6 @@ def analyze_valueflow(modules: Sequence[ParsedModule]) -> ValueFlow:
                            implemented=False)
                 for param in signature.params]
     return ValueFlow(usages, sites, imprecise, unanalyzed)
-
-
-_CACHE: list = [None, None]
-
-
-def valueflow_for(modules: Sequence[ParsedModule]) -> ValueFlow:
-    """Single-slot cache over :func:`analyze_valueflow`, so the rules
-    and the CLI entry points share one computation per lint run."""
-    key = tuple((module.path, id(module.tree)) for module in modules)
-    if _CACHE[0] != key:
-        _CACHE[0] = key
-        _CACHE[1] = analyze_valueflow(modules)
-    return _CACHE[1]
-
-
-def compute_equivalence(modules: Sequence[ParsedModule]
-                        ) -> EquivalenceManifest:
-    return valueflow_for(modules).manifest
 
 
 # ----------------------------------------------------------------------
@@ -995,7 +979,7 @@ def _outcome_signature(run) -> tuple:
     )
 
 
-def equiv_check(modules: Sequence[ParsedModule], sample: int = 6,
+def equiv_check(project: ProjectIndex, sample: int = 6,
                 workload_names: Optional[Sequence[str]] = None,
                 config=None) -> EquivCheckReport:
     """Execute every member of sampled classes; fail on divergence.
@@ -1011,7 +995,7 @@ def equiv_check(modules: Sequence[ParsedModule], sample: int = 6,
     from ..core.runner import RunConfig, execute_run
     from ..core.workload import WORKLOADS, MiddlewareKind
 
-    manifest = valueflow_for(modules).manifest
+    manifest = project.valueflow.manifest
     run_config = config if config is not None else RunConfig()
     names = sorted(workload_names if workload_names is not None
                    else WORKLOADS)
@@ -1052,18 +1036,6 @@ def equiv_check(modules: Sequence[ParsedModule], sample: int = 6,
 # ----------------------------------------------------------------------
 # The rules
 # ----------------------------------------------------------------------
-def _function_scope_nodes(node: ast.FunctionDef) -> Iterable[ast.AST]:
-    """Walk a function without descending into nested def/class."""
-    queue = list(node.body)
-    while queue:
-        current = queue.pop()
-        yield current
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef, ast.Lambda)):
-            continue
-        queue.extend(ast.iter_child_nodes(current))
-
-
 def _is_trivial_body(body: Sequence[ast.stmt]) -> bool:
     """pass / docstring / ellipsis / bare raise — interface stubs."""
     for stmt in body:
@@ -1093,13 +1065,11 @@ class DeadParamRule(Rule):
     description = ("every declared parameter should be read, or "
                    "explicitly discarded")
 
-    def check_project(self,
-                      modules: Sequence[ParsedModule]) -> Iterable[Finding]:
-        yield from self._impl_findings(modules)
-        yield from self._project_findings(modules)
+    def check_project(self, project: ProjectIndex) -> Iterable[Finding]:
+        yield from self._impl_findings(project.valueflow)
+        yield from self._project_findings(project.callgraph)
 
-    def _impl_findings(self, modules) -> Iterable[Finding]:
-        flow = valueflow_for(modules)
+    def _impl_findings(self, flow: ValueFlow) -> Iterable[Finding]:
         for export in sorted(flow.sites):
             site = flow.sites[export]
             if export in flow.imprecise:
@@ -1119,25 +1089,13 @@ class DeadParamRule(Rule):
                                f"{usage.name}: accepted as-is`) or "
                                "validate it")
 
-    def _project_findings(self, modules) -> Iterable[Finding]:
-        from .callgraph import callgraph_for
-
-        graph = callgraph_for(modules)
-        roles = graph.roles()
-        if not roles:
-            return
-        roots: list = []
-        for role_roots in roles.values():
-            roots.extend(role_roots)
-        for key in sorted(graph.reachable_from(roots)):
-            summary = graph.summaries.get(key)
-            if summary is None or summary.node is None:
-                continue
+    def _project_findings(self, graph) -> Iterable[Finding]:
+        for key, summary in _reachable_summaries(graph):
             node = summary.node
             if not isinstance(node, ast.FunctionDef) or \
                     _is_trivial_body(node.body):
                 continue
-            loaded = {n.id for n in _function_scope_nodes(node)
+            loaded = {n.id for n in walk_in_scope(node)
                       if isinstance(n, ast.Name)}
             arguments = node.args
             formals = [a.arg for a in (arguments.posonlyargs +
@@ -1156,6 +1114,12 @@ class DeadParamRule(Rule):
                     symbol=qualname,
                     suggestion=f"drop {formal}, or prefix it with an "
                                "underscore to mark it deliberate")
+
+
+def _reachable_summaries(graph) -> Iterable[tuple]:
+    """``(key, summary)`` of every role-reachable function, sorted."""
+    for key in sorted(graph.reachable_from(graph.root_keys())):
+        yield key, graph.summaries[key]
 
 
 def summary_path(graph, key) -> str:
@@ -1180,30 +1144,17 @@ class UseBeforeValidateRule(Rule):
     description = ("validate nullable values before the first "
                    "dereference, not after")
 
-    def check_project(self,
-                      modules: Sequence[ParsedModule]) -> Iterable[Finding]:
-        flow = valueflow_for(modules)
+    def check_project(self, project: ProjectIndex) -> Iterable[Finding]:
+        flow = project.valueflow
         for export in sorted(flow.sites):
             site = flow.sites[export]
             nullable = self._nullable_locals(site.node)
             yield from self._scan(site.node, nullable, site.path,
                                   site.qualname)
-        yield from self._project_findings(modules)
+        yield from self._project_findings(project.callgraph)
 
-    def _project_findings(self, modules) -> Iterable[Finding]:
-        from .callgraph import callgraph_for
-
-        graph = callgraph_for(modules)
-        roles = graph.roles()
-        if not roles:
-            return
-        roots: list = []
-        for role_roots in roles.values():
-            roots.extend(role_roots)
-        for key in sorted(graph.reachable_from(roots)):
-            summary = graph.summaries.get(key)
-            if summary is None or summary.node is None:
-                continue
+    def _project_findings(self, graph) -> Iterable[Finding]:
+        for key, summary in _reachable_summaries(graph):
             node = summary.node
             if not isinstance(node, ast.FunctionDef):
                 continue
@@ -1220,7 +1171,7 @@ class UseBeforeValidateRule(Rule):
     @staticmethod
     def _nullable_locals(node: ast.FunctionDef) -> set:
         names = set()
-        for current in _function_scope_nodes(node):
+        for current in walk_in_scope(node):
             if not isinstance(current, ast.Assign):
                 continue
             value = current.value

@@ -17,7 +17,6 @@ runs.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from ..core.store import (
     fault_from_dict,

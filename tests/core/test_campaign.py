@@ -140,14 +140,9 @@ PRUNE_FUNCTIONS = ["CreateEventA", "SetErrorMode", "CreateFileA"]
 @pytest.fixture(scope="module")
 def manifest():
     """The real manifest, computed from the shipped tree."""
-    from repro.lint.core import Analyzer, _lint_files
-    from repro.lint.valueflow import valueflow_for
+    from repro.lint import load_project
 
-    analyzer = Analyzer([])
-    py_files, _fault_files = analyzer.collect(["src"])
-    tasks = [(path, analyzer._display_path(path)) for path in py_files]
-    modules, _parse_findings = _lint_files(tasks, [])
-    return valueflow_for(modules).manifest
+    return load_project(["src"]).valueflow.manifest
 
 
 def _census(result):

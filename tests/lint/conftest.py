@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import ParsedModule, run_lint
+from repro.lint import ParsedModule, ProjectIndex, run_lint
 
 
 def parse_project(sources):
@@ -19,6 +19,11 @@ def parse_project(sources):
         text = textwrap.dedent(source)
         modules.append(ParsedModule(path, ast.parse(text), text))
     return modules
+
+
+def project_of(sources):
+    """``{path: source}`` -> one lint project over :func:`parse_project`."""
+    return ProjectIndex(parse_project(sources))
 
 
 @pytest.fixture

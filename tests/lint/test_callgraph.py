@@ -4,16 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint.callgraph import (
-    CallGraph,
-    callgraph_for,
-    failure_test,
-    resolve_relative,
-)
+from repro.lint.callgraph import CallGraph, failure_test
+from repro.lint.engine import ProjectIndex, resolve_relative
 from repro.lint.escape import CorruptionEscapeRule
 from repro.lint.propagation import ErrorPropagationRule
 
-from .conftest import parse_project
+from .conftest import parse_project, project_of
 
 # A miniature project exercising every edge kind the resolver knows:
 # relative imports, delegation chains (`yield from self._x`), a thread
@@ -68,7 +64,7 @@ PROJECT = {
 
 @pytest.fixture(scope="module")
 def graph():
-    return CallGraph.build(parse_project(PROJECT))
+    return project_of(PROJECT).callgraph
 
 
 def key_for(graph, suffix):
@@ -100,7 +96,7 @@ class TestEdges:
         project["pkg/server.py"] = PROJECT["pkg/server.py"].replace(
             "ThreadEntry(lambda: self._worker(ctx))",
             "ThreadEntry(self._worker)")
-        graph = CallGraph.build(parse_project(project))
+        graph = project_of(project).callgraph
         main = graph.summaries[key_for(graph, "EchoServer.main")]
         worker_sites = [site for site in main.calls
                         if site.callee[1] == "EchoServer._worker"]
@@ -168,32 +164,28 @@ class TestStability:
     @settings(max_examples=25, deadline=None)
     @given(order=st.permutations(list(range(len(PROJECT)))))
     def test_summary_is_order_invariant(self, order):
-        baseline = CallGraph.build(parse_project(PROJECT)).summary()
+        baseline = project_of(PROJECT).callgraph.summary()
         modules = parse_project(PROJECT)
         permuted = [modules[index] for index in order]
-        assert CallGraph.build(permuted).summary() == baseline
+        assert CallGraph(ProjectIndex(permuted)).summary() == baseline
 
     @settings(max_examples=10, deadline=None)
     @given(order=st.permutations(list(range(len(PROJECT)))))
     def test_finding_order_is_order_invariant(self, order):
         modules = parse_project(PROJECT)
         rules = [ErrorPropagationRule(), CorruptionEscapeRule()]
+        project = ProjectIndex(modules)
         baseline = [finding.render()
                     for rule in rules
-                    for finding in rule.check_project(modules)]
-        permuted = [modules[index] for index in order]
+                    for finding in rule.check_project(project)]
+        permuted = ProjectIndex([modules[index] for index in order])
         permuted_findings = [finding.render()
                              for rule in rules
                              for finding in rule.check_project(permuted)]
         assert permuted_findings == baseline
 
 
-class TestCache:
-    def test_same_modules_hit_cache(self):
-        modules = parse_project(PROJECT)
-        assert callgraph_for(modules) is callgraph_for(modules)
-
-    def test_reparse_misses_cache(self):
-        first = callgraph_for(parse_project(PROJECT))
-        second = callgraph_for(parse_project(PROJECT))
-        assert first is not second
+class TestOneGraphPerProject:
+    def test_project_builds_its_graph_once(self):
+        project = project_of(PROJECT)
+        assert project.callgraph is project.callgraph

@@ -15,7 +15,7 @@ from repro.lint.censusdiff import (
 )
 from repro.nt.kernel32.signatures import REGISTRY
 
-from .conftest import parse_project
+from .conftest import project_of
 
 # The real tree slice that defines the NT roles: the server programs
 # plus the workload registry that spawns them.
@@ -23,15 +23,10 @@ TREE_PATHS = ["src/repro/servers", "src/repro/core/workload.py"]
 
 
 @pytest.fixture(scope="module")
-def tree_modules():
-    from repro.lint.core import Analyzer, _lint_files
-
-    analyzer = Analyzer([])
-    py_files, _fault_files = analyzer.collect(TREE_PATHS)
-    modules, findings = _lint_files(
-        [(path, analyzer._display_path(path)) for path in py_files], [])
-    assert not findings
-    return modules
+def tree_project():
+    result = run_lint(TREE_PATHS, rules=[])
+    assert not result.findings  # every file parsed
+    return result.project
 
 
 @pytest.fixture(scope="module")
@@ -50,40 +45,40 @@ def write_store(path, run_dict):
 
 
 class TestStaticSide:
-    def test_roles_discovered_from_real_tree(self, tree_modules):
-        table = static_role_exports(tree_modules)
+    def test_roles_discovered_from_real_tree(self, tree_project):
+        table = static_role_exports(tree_project)
         assert {"apache1", "apache2", "iis", "sql"} <= set(table)
 
-    def test_apache1_reaches_its_own_calls(self, tree_modules):
-        table = static_role_exports(tree_modules)
+    def test_apache1_reaches_its_own_calls(self, tree_project):
+        table = static_role_exports(tree_project)
         assert "CreateFileA" in table["apache1"]
 
 
 class TestCensusDiff:
-    def test_store_census_happy_path(self, tree_modules, profile_entry,
+    def test_store_census_happy_path(self, tree_project, profile_entry,
                                      tmp_path):
         store = write_store(tmp_path / "runs.jsonl", profile_entry)
-        report = census_diff(tree_modules, store_paths=[store])
+        report = census_diff(tree_project, store_paths=[store])
         assert report.clean
         apache1 = report.roles["apache1"]
         assert apache1.dynamic_exports
         assert apache1.unexplained == []
 
-    def test_unexplained_activation_is_reported(self, tree_modules,
+    def test_unexplained_activation_is_reported(self, tree_project,
                                                 profile_entry, tmp_path):
-        static = static_role_exports(tree_modules)["apache1"]
+        static = static_role_exports(tree_project)["apache1"]
         bogus = sorted(name for name in REGISTRY
                        if name not in static)[0]
         entry = dict(profile_entry)
         entry["called_functions"] = sorted(
             set(entry["called_functions"]) | {bogus})
         store = write_store(tmp_path / "runs.jsonl", entry)
-        report = census_diff(tree_modules, store_paths=[store])
+        report = census_diff(tree_project, store_paths=[store])
         assert not report.clean
         assert report.roles["apache1"].unexplained == [bogus]
         assert bogus in report.render_text()
 
-    def test_activated_fault_counts_as_evidence(self, tree_modules,
+    def test_activated_fault_counts_as_evidence(self, tree_project,
                                                 profile_entry, tmp_path):
         entry = dict(profile_entry)
         entry["fault"] = {"mechanism": "parameter",
@@ -91,12 +86,12 @@ class TestCensusDiff:
                           "fault_type": "zero", "invocation": 1}
         entry["activated"] = True
         store = write_store(tmp_path / "runs.jsonl", entry)
-        report = census_diff(tree_modules, store_paths=[store])
+        report = census_diff(tree_project, store_paths=[store])
         assert "CreateFileA" in report.roles["apache1"].dynamic_exports
 
-    def test_json_shape(self, tree_modules, profile_entry, tmp_path):
+    def test_json_shape(self, tree_project, profile_entry, tmp_path):
         store = write_store(tmp_path / "runs.jsonl", profile_entry)
-        report = census_diff(tree_modules, store_paths=[store])
+        report = census_diff(tree_project, store_paths=[store])
         payload = report.to_json()
         assert payload["fault_space"]["exports"] == 681
         assert payload["fault_space"]["zero_param"] == 130
@@ -159,9 +154,8 @@ class TestFaultReachabilityRule:
 
     def test_reachable_entries_stay_silent(self):
         rule = FaultReachabilityRule()
-        modules = parse_project(MINI_PROJECT)
-        list(rule.check_project(modules))
         from repro.lint.core import FaultListFile
         findings = list(rule.check_fault_file(
-            FaultListFile("faults.lst", "CreateFileA 0 zero 1\n")))
+            FaultListFile("faults.lst", "CreateFileA 0 zero 1\n"),
+            project_of(MINI_PROJECT)))
         assert findings == []

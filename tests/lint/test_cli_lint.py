@@ -1,8 +1,10 @@
 """`repro lint` CLI: exit codes, formats, baseline handling."""
 
+import glob
 import json
 import os
 import textwrap
+from collections import Counter
 from io import StringIO
 
 import pytest
@@ -380,6 +382,71 @@ class TestEquivalenceCli:
                              str(clean_tree))
         assert code == 0
         assert "equivalence oracle" in text
+
+    def test_emit_equivalence_runs_the_requested_oracles(self, clean_tree,
+                                                         tmp_path):
+        manifest = tmp_path / "equiv.json"
+        store = tmp_path / "runs.jsonl"
+        store.write_text("", encoding="utf-8")
+        code, text = run_cli("--emit-equivalence", str(manifest),
+                             "--census-diff", "--census-store", str(store),
+                             "--equiv-check", "--equiv-sample", "1",
+                             str(clean_tree))
+        assert code == 0
+        assert manifest.exists()
+        assert "census-diff: clean" in text
+        assert "equivalence oracle clean" in text
+        assert "finding(s)" not in text  # emission still runs no rules
+
+    def test_emit_equivalence_exits_on_the_oracle_verdict(self, clean_tree,
+                                                          tmp_path):
+        # A live census over a tree without registrations cannot explain
+        # the workloads' calls, with or without a manifest to write.
+        code, text = run_cli("--emit-equivalence",
+                             str(tmp_path / "equiv.json"),
+                             "--census-diff", str(clean_tree))
+        assert code == 1
+        assert "unexplained" in text
+
+
+class TestOneProjectPerRun:
+    # The server programs plus the workload registry that spawns them:
+    # enough for roles, a call graph and a census.
+    TREE = [os.path.join("src", "repro", "servers"),
+            os.path.join("src", "repro", "core", "workload.py")]
+
+    def test_rules_and_oracles_share_one_index_and_graph(self, monkeypatch,
+                                                         tmp_path):
+        from repro.lint.callgraph import CallGraph
+        from repro.lint.engine import ModuleIndex
+
+        indexed = Counter()
+        graphs = []
+        build_index = ModuleIndex.__init__
+        build_graph = CallGraph.__init__
+
+        def count_index(self, path, tree):
+            indexed[path] += 1
+            build_index(self, path, tree)
+
+        def count_graph(self, project):
+            graphs.append(project)
+            build_graph(self, project)
+
+        monkeypatch.setattr(ModuleIndex, "__init__", count_index)
+        monkeypatch.setattr(CallGraph, "__init__", count_graph)
+        store = tmp_path / "runs.jsonl"
+        store.write_text("", encoding="utf-8")
+        _code, text = run_cli("--census-diff", "--census-store", str(store),
+                              "--equiv-check", "--equiv-sample", "1",
+                              *self.TREE)
+        assert "census-diff: clean" in text
+        assert "equivalence oracle clean" in text
+        modules = 1 + len(glob.glob(os.path.join(self.TREE[0], "**",
+                                                 "*.py"), recursive=True))
+        assert len(indexed) == modules
+        assert set(indexed.values()) == {1}
+        assert len(graphs) == 1
 
 
 class TestJobs:

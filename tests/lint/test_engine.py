@@ -235,8 +235,11 @@ class TestProjectIndexStability:
                          ast.parse(source), source)
             for position, source in enumerate(sources)
         ]
-        first = ProjectIndex.build(modules).summary()
-        second = ProjectIndex.build(modules).summary()
+        first = ProjectIndex(modules).summary()
+        # Fresh ParsedModules over the same trees: each builds its own
+        # ModuleIndex, so the two summaries come from two builds.
+        second = ProjectIndex([ParsedModule(m.path, m.tree, m.source)
+                               for m in modules]).summary()
         assert first == second
 
     def test_real_tree_summary_is_stable(self):
@@ -247,12 +250,12 @@ class TestProjectIndexStability:
             modules.append(
                 ParsedModule(path, ast.parse(source, filename=path),
                              source))
-        first = ProjectIndex.build(modules).summary()
+        first = ProjectIndex(modules).summary()
         # A fresh parse must produce the identical summary: nothing in
         # the index may depend on object identity or hash order.
         reparsed = [ParsedModule(m.path, ast.parse(m.source), m.source)
                     for m in modules]
-        second = ProjectIndex.build(reparsed).summary()
+        second = ProjectIndex(reparsed).summary()
         assert first == second
         assert set(first) == {module_name_for_path(m.path)
                               for m in modules}

@@ -16,8 +16,7 @@ inside the analyzer's field of view:
 
 import ast
 
-from repro.lint.callgraph import CallGraph
-from repro.lint.engine import ModuleIndex
+from repro.lint.engine import ModuleIndex, ProjectIndex
 from repro.lint.races import YieldRaceRule
 from repro.lint.simhang import SimHangRule
 
@@ -124,7 +123,7 @@ class TestProgramSideSpellingUnchanged:
                         EchoServer(), role="server")
             """,
         })
-        graph = CallGraph.build(modules)
+        graph = ProjectIndex(modules).callgraph
         roles = graph.roles()
         assert "server" in roles
         api = graph.reachable_api(roles["server"])

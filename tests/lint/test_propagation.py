@@ -2,12 +2,12 @@
 
 from repro.lint.propagation import ErrorPropagationRule
 
-from .conftest import parse_project
+from .conftest import project_of
 
 
 def findings_for(sources):
     rule = ErrorPropagationRule()
-    return list(rule.check_project(parse_project(sources)))
+    return list(rule.check_project(project_of(sources)))
 
 
 HELPER = """

@@ -11,7 +11,6 @@ from repro.lint.valueflow import (
     classify,
     evaluate_impl,
     find_impl_sites,
-    valueflow_for,
 )
 
 from .conftest import parse_project
@@ -215,14 +214,15 @@ def test_group_key_ignores_return_value_faults():
 # The shipped tree
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def tree_flow():
-    from repro.lint.core import Analyzer, _lint_files
+def tree_project():
+    from repro.lint import load_project
 
-    analyzer = Analyzer([])
-    py_files, _fault_files = analyzer.collect(["src"])
-    tasks = [(path, analyzer._display_path(path)) for path in py_files]
-    modules, _parse_findings = _lint_files(tasks, [])
-    return valueflow_for(modules)
+    return load_project(["src"])
+
+
+@pytest.fixture(scope="module")
+def tree_flow(tree_project):
+    return tree_project.valueflow
 
 
 def test_shipped_tree_is_fully_analyzable(tree_flow):
@@ -243,18 +243,12 @@ def test_shipped_tree_known_usages(tree_flow):
     assert by_param[("GetCurrentDirectoryA", 0)] != "unused"
 
 
-def test_equiv_oracle_is_clean_on_sampled_classes(tree_flow):
+def test_equiv_oracle_is_clean_on_sampled_classes(tree_project):
     from repro.lint.valueflow import equiv_check
 
-    # tree_flow warmed the valueflow cache for this module list, so
-    # the oracle reuses the manifest and only pays for the runs.
-    from repro.lint.core import Analyzer, _lint_files
-
-    analyzer = Analyzer([])
-    py_files, _fault_files = analyzer.collect(["src"])
-    tasks = [(path, analyzer._display_path(path)) for path in py_files]
-    modules, _parse_findings = _lint_files(tasks, [])
-    report = equiv_check(modules, sample=3)
+    # The project already holds the value-flow tier, so the oracle
+    # reuses the manifest and only pays for the runs.
+    report = equiv_check(tree_project, sample=3)
     assert report.executed > 0
     assert report.clean, report.render_text()
 
